@@ -109,8 +109,8 @@ int main(int argc, char** argv) {
                   "exceeds this many MiB — the O(n/shards + halo) "
                   "partition-memory tripwire; 0 disables")
       .add_int("compare-shards", 0,
-               "re-run the largest grid point single-queue vs this many "
-               "shards (sim_threads auto) and report the wall-clock "
+               "re-run the largest grid point on one partition vs this "
+               "many shards (sim_threads auto) and report the wall-clock "
                "speedup plus a thread-count determinism check; 0 disables");
   if (!opt.parse(argc, argv)) return 1;
   const auto t_bench = std::chrono::steady_clock::now();
@@ -254,8 +254,8 @@ int main(int argc, char** argv) {
   sink.set_meta("lossy_propagation",
                 to_string(phy::PropagationKind::kLogDistance));
 
-  // ---- Sharded-vs-single comparison on the largest grid point ------------
-  // Same scenario three ways: single queue, sharded with auto threads, and
+  // ---- Sharded-vs-one-partition comparison on the largest grid point -----
+  // Same scenario three ways: one partition, sharded with auto threads, and
   // sharded with one inline thread. The last two must agree bit-for-bit
   // (the engine's determinism contract — exit 2 if they don't); the first
   // two give the wall-clock speedup on this machine's cores.
@@ -290,7 +290,8 @@ int main(int argc, char** argv) {
         sharded.shard_events == inline_run.shard_events;
     const double speedup = sharded_ms > 0 ? single_ms / sharded_ms : 0;
     std::printf(
-        "[compare] grid-%d dual-radio: single %.0f ms (%d delivered), "
+        "[compare] grid-%d dual-radio: one partition %.0f ms (%d "
+        "delivered), "
         "%d shards %.0f ms (%d delivered, %lld boundary frames) — "
         "%.2fx, thread-count determinism %s\n",
         sizes.back(), single_ms, static_cast<int>(single.delivered),

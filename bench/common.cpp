@@ -133,7 +133,7 @@ void set_scenario_meta(stats::ResultSink& sink,
   };
   mac_meta("sensor", config.sensor_mac);
   mac_meta("wifi", config.wifi_mac);
-  // Sharded-engine identity — only when the run leaves the single-queue
+  // Partition identity — only when the run leaves the one-partition
   // default, so every historical export stays byte-identical.
   if (config.shards > 1) {
     sink.set_meta("shards", static_cast<double>(config.shards));

@@ -125,23 +125,26 @@ struct ScenarioConfig {
   mac::MacSpec sensor_mac;
   mac::MacSpec wifi_mac;
 
-  /// Intra-run parallelism: the spatially-sharded engine (see
-  /// sim/sharded_simulator.hpp and the README "Parallel engine" section).
-  /// 1 (default) = the historical single-queue engine — every BENCH
-  /// export byte-identical. >1 = the node plane is cut into `shards`
-  /// equal-population x-stripes, each with its own event queue and
-  /// channel partitions, advanced in shard_window-second parity-phased
-  /// windows with boundary frames exchanged at the barriers. Results are
-  /// deterministic at a fixed shard count regardless of sim_threads, but
-  /// cross-stripe collision timing is relaxed (late by < shard_window) —
-  /// sharded metrics form their own contract, distinct from shards == 1.
-  /// Fault plans and finite batteries are supported via membership epochs
-  /// published at window barriers; only TDMA MACs are rejected.
+  /// Partitions of the scenario engine (see sim/sharded_simulator.hpp
+  /// and the README "Parallel engine" section). 1 (default) = one
+  /// partition holding the whole medium on one event queue — the path
+  /// every BENCH figure export runs. >1 = the node plane is cut into
+  /// `shards` equal-population x-stripes, each with its own event queue
+  /// and channel partitions, advanced in shard_window-second
+  /// parity-phased windows with boundary frames exchanged at the
+  /// barriers. Results are deterministic at a fixed shard count
+  /// regardless of sim_threads, but cross-stripe collision timing is
+  /// relaxed (late by < shard_window), so each shard count is its own
+  /// metrics contract. Fault plans and finite batteries work at every
+  /// count via membership epochs published at window barriers; TDMA MACs
+  /// require shards == 1.
   int shards = 1;
-  /// Worker threads for the sharded engine; 0 = auto, 1 = run the shards
+  /// Worker threads for the partitions; 0 = auto, 1 = run the shards
   /// inline (identical results to any other thread count).
   int sim_threads = 0;
-  /// Sharded engine exchange window (seconds).
+  /// Exchange window between partitions (seconds); also the barrier
+  /// period for membership epochs and lifetime bookkeeping at one
+  /// partition.
   util::Seconds shard_window = 0.02;
 
   /// Deterministic node-churn / link-flap schedule (empty = the paper's
@@ -161,8 +164,9 @@ struct ScenarioConfig {
 
   /// Route scoring for both radios' DynamicRouting (see net::RoutePolicy).
   /// kLifetimeAware requires battery.enabled and bends convergecast
-  /// routes around nearly-depleted relays, refreshing every
-  /// battery.reroute_period.
+  /// routes around nearly-depleted relays, re-pricing them from a
+  /// battery snapshot taken at the first window barrier at or past each
+  /// multiple of battery.reroute_period.
   net::RoutePolicy route_policy = net::RoutePolicy::kShortestPath;
 
   /// SH case preset (§4.1.1): Lucent 11 Mbps, same hops as the sensor
@@ -264,37 +268,37 @@ struct RunMetrics {
   double time_to_first_death = -1;
   /// Seconds until some alive node lost every path to the sink
   /// (LinkState-masked reachability, checked at each death); -1 = never.
+  /// Both times are exact event times.
   double time_to_sink_partition = -1;
   /// Payload bits delivered at the sink before the first death /
   /// partition (the whole run's deliveries when the event never came).
+  /// Read at the window barrier that publishes the death, so they may
+  /// include deliveries up to one shard_window after the event.
   std::int64_t delivered_bits_until_first_death = 0;
   std::int64_t delivered_bits_until_partition = 0;
   /// Max over battery-backed nodes of drawn/capacity — the invariant
   /// bound is 1 plus at most one indivisible wake-up lump.
   double battery_max_drawn_fraction = 0;
 
-  // Sharded-engine visibility (empty/zero on the single-queue engine).
-  /// Events dispatched per shard, in shard order; sums to
-  /// events_processed. The per-shard events/sec breakdown divides these
-  /// by the caller-measured wall clock.
+  // Partition visibility.
+  /// Events dispatched per shard, in shard order (one entry at one
+  /// partition); sums to events_processed. The per-shard events/sec
+  /// breakdown divides these by the caller-measured wall clock.
   std::vector<std::uint64_t> shard_events;
   /// Frames that crossed a stripe edge (each counted once per
-  /// destination shard, both radio classes).
+  /// destination shard, both radio classes); 0 at one partition.
   std::int64_t boundary_frames = 0;
 };
 
-/// Runs one scenario to completion and reports its metrics. Dispatches to
-/// run_scenario_sharded when config.shards > 1.
+/// Runs one scenario to completion and reports its metrics: one
+/// simulation advanced by the partition engine over config.shards
+/// x-stripes (one partition by default). Fault plans, finite batteries,
+/// and lifetime-aware routing work at every shard count via per-shard
+/// LinkState replicas synchronized by membership epochs at window
+/// barriers (a remote shard sees a membership change at most one
+/// exchange window late); TDMA MACs require shards == 1. Deterministic
+/// at a fixed shard count for any sim_threads.
 RunMetrics run_scenario(const ScenarioConfig& config);
-
-/// The config.shards > 1 path of run_scenario: one simulation advanced by
-/// the parallel sharded engine. Fault plans, finite batteries, and
-/// lifetime-aware routing are supported via per-shard LinkState replicas
-/// synchronized by membership epochs at window barriers (a remote shard
-/// sees a membership change at most one exchange window late); only TDMA
-/// MACs are rejected. Deterministic at a fixed shard count for any
-/// sim_threads.
-RunMetrics run_scenario_sharded(const ScenarioConfig& config);
 
 /// Runs `runs` independent replications (seeds config.seed, config.seed+1,
 /// ...), as the paper averages 20 runs with 95% confidence intervals.

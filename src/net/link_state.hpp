@@ -17,9 +17,9 @@
 // been taken down explicitly. Setting a state it already has is a no-op
 // and does not bump the revision.
 //
-// Memory model: the historical constructor keeps one dense byte per node —
-// right for the single-queue engine and for the coordinator replicas. A
-// sharded partition instead constructs its replica over a StripeDomain:
+// Memory model: the dense constructor keeps one dense byte per node —
+// right for a lone Channel and for the coordinator replicas. A scenario
+// partition instead constructs its replica over a StripeDomain:
 // dense bytes only for the stripe it owns plus the halo of boundary
 // neighbors it must hear (the ids its channel partition ever asks about),
 // and a sparse down-set for every other node a broadcast membership delta
@@ -102,8 +102,8 @@ struct StripeDomain {
 
 class LinkState {
  public:
-  /// Dense over every node — the single-queue engine's shared state and
-  /// the sharded coordinator's ground-truth replicas.
+  /// Dense over every node — a lone Channel's shared state and the
+  /// scenario coordinator's ground-truth replicas.
   explicit LinkState(int node_count);
 
   /// Stripe-local replica: dense over `domain` (owned stripe + halo),

@@ -107,9 +107,14 @@ ShardedMedium::ShardedMedium(
   scratch_.resize(static_cast<std::size_t>(count_));
   channels_.resize(static_cast<std::size_t>(count_));
   for (int s = 0; s < count_; ++s) {
-    auto channel = std::make_unique<Channel>(
-        engine.shard(s), graph, params,
-        util::substream(seed, static_cast<std::uint64_t>(s), 0x53484152u));
+    // A lone partition is the whole medium and draws from the medium's
+    // own seed; partitions of a split medium draw from per-shard streams.
+    const std::uint64_t channel_seed =
+        count_ == 1 ? seed
+                    : util::substream(seed, static_cast<std::uint64_t>(s),
+                                      0x53484152u);
+    auto channel = std::make_unique<Channel>(engine.shard(s), graph, params,
+                                             channel_seed);
     Channel::ShardingSpec spec;
     spec.shard_of = map_.shard_of.data();
     spec.local_of = map_.local_of.data();

@@ -74,7 +74,8 @@ struct ShardMap {
 class ShardedMedium {
  public:
   /// One Channel per engine shard over the shared graph. Shard s draws
-  /// from RNG substream (seed, s) — deterministic at fixed shard count.
+  /// from RNG substream (seed, s) — deterministic at fixed shard count;
+  /// a lone partition is the whole medium and draws from `seed` itself.
   ShardedMedium(sim::ShardedSimulator& engine,
                 std::shared_ptr<const net::ConnectivityGraph> graph,
                 const ShardMap& map, Channel::Params params,

@@ -22,6 +22,14 @@ void spin_until(Pred&& ready) {
   }
 }
 
+/// Hardware threads, read once per process: the query reads system files
+/// on every call, and every scenario run builds an engine.
+int hardware_threads() {
+  static const int hw =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  return hw;
+}
+
 }  // namespace
 
 ShardedSimulator::ShardedSimulator(Params params) {
@@ -29,10 +37,9 @@ ShardedSimulator::ShardedSimulator(Params params) {
   BCP_REQUIRE(params.window > 0);
   shards_ = params.shards;
   window_ = params.window;
-  int hw = static_cast<int>(std::thread::hardware_concurrency());
-  if (hw <= 0) hw = 1;
-  threads_ = params.threads > 0 ? params.threads
-                                : std::min(hw, std::max(1, shards_ / 2));
+  threads_ = params.threads > 0
+                 ? params.threads
+                 : std::min(hardware_threads(), std::max(1, shards_ / 2));
   // More workers than ceil(shards/2) can never be simultaneously busy: a
   // parity phase exposes at most that many shards.
   threads_ = std::min(threads_, (shards_ + 1) / 2);

@@ -1,11 +1,15 @@
 // Spatially-sharded parallel event engine: one simulation, many queues.
 //
-// The single-queue Simulator dispatches ~3.6M events/s on one core and
-// that is the ceiling for a *run* — sweep-level parallelism (one Simulator
-// per worker, app/sweep.hpp) cannot make one 100k-node network go faster.
+// One Simulator dispatches ~3.6M events/s on one core and that is the
+// ceiling for a *run* — sweep-level parallelism (one Simulator per
+// worker, app/sweep.hpp) cannot make one 100k-node network go faster.
 // ShardedSimulator splits a run into N shards, each with its own Simulator
 // (event queue + clock) pinned to a worker thread, and advances them in
-// bounded time windows of W seconds.
+// bounded time windows of W seconds. It is the only scenario engine:
+// app::run_scenario drives every configuration through it, and N = 1 is
+// one shard whose windows and barriers only pace the membership-epoch and
+// lifetime bookkeeping — with no peer to exchange frames with, its event
+// order is the plain Simulator's.
 //
 // Why windows and not classic conservative PDES lookahead: the phy layer
 // models zero propagation delay (channel.hpp — sub-microsecond at the
@@ -27,7 +31,7 @@
 // late by less than W (the channel clamps and re-times late arrivals —
 // see phy::Channel::inject_remote). The relaxation is the documented
 // price of parallelism: results are exactly reproducible but not
-// identical to the single-queue engine's global event interleaving.
+// identical to one queue's global event interleaving.
 //
 // Determinism contract: at a fixed shard count, each shard's execution is
 // a pure function of (configuration, shard count) — per-shard RNG

@@ -3,9 +3,9 @@
 #include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <iostream>
 
 #include "util/assert.hpp"
-#include "util/log.hpp"
 #include "util/sysinfo.hpp"
 
 namespace bcp::stats {
@@ -244,7 +244,7 @@ bool ResultSink::write_json(const std::string& bench_name,
                             const std::string& path) const {
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) {
-    util::log_error("cannot open " + path + " for writing");
+    std::cerr << "[ERROR] cannot open " << path << " for writing\n";
     return false;
   }
   f << to_json(bench_name);

@@ -232,12 +232,10 @@ struct CrossModelCase {
   bool multi_hop;
   app::EvalModel model;
   bool capture = false;  ///< SINR/capture collision resolution on
-  /// > 1 runs the case on the sharded parallel engine (fault-free cases
-  /// only — the sharded path rejects fault plans). The conservation laws
+  /// > 1 runs the case on that many partitions. The conservation laws
   /// must hold per-shard and therefore summed.
   int shards = 0;
-  /// > 0 enables finite batteries with this per-radio-class budget
-  /// (single-queue engine only — the sharded path rejects batteries).
+  /// > 0 enables finite batteries with this per-radio-class budget.
   double sensor_j = 0;
   double wifi_j = 0;
 };
@@ -415,7 +413,7 @@ INSTANTIATE_TEST_SUITE_P(
         CrossModelCase{"sharded_disc_capture_mh_wifi",
                        phy::PropagationKind::kUnitDisc, 0.0, 0, 0, true,
                        app::EvalModel::kWifi, true, 2},
-        // Finite batteries (single-queue engine): budgets that kill nodes
+        // Finite batteries (one partition): budgets that kill nodes
         // mid-run, across models, composed with loss and with churn.
         CrossModelCase{"battery_disc_mh_sensor",
                        phy::PropagationKind::kUnitDisc, 0.0, 0, 0, true,

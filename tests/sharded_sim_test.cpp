@@ -14,7 +14,8 @@
 //     stripes see it at most one window barrier late — differentially
 //     pinned against the single-queue LinkState run;
 //   * fault plans, finite batteries and lifetime routing run sharded with
-//     thread-count-invariant metrics; only TDMA is still rejected.
+//     thread-count-invariant metrics; TDMA on more than one partition is
+//     rejected with a pinned message.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -362,7 +363,7 @@ std::vector<RxEvent> run_single_membership(
 /// LinkState replica per stripe, the owning stripe flips its replica at
 /// the exact event instant and queues the delta, and the barrier hook
 /// broadcasts the sorted batch to every replica — exactly what
-/// run_scenario_sharded does, minus the nodes. Also asserts the rx
+/// run_scenario does, minus the nodes. Also asserts the rx
 /// conservation law per channel partition before returning.
 std::vector<RxEvent> run_sharded_membership(
     const ChainFixture& fx,
@@ -659,10 +660,11 @@ TEST(ShardedScenario, LifetimeRoutingRunsSharded) {
   EXPECT_GT(inline_run.route_rebuilds, 0);
 }
 
-// A battery death is a kNodeDown membership delta, so the engines must
-// agree exactly when the depletion instant is traffic-independent: with a
-// battery that dies before the first burst ever transmits, every node
-// depletes by pure idle draw at capacity/idle_power in BOTH engines.
+// A battery death is a kNodeDown membership delta, so two partitions and
+// one must agree exactly when the depletion instant is
+// traffic-independent: with a battery that dies before the first burst
+// ever transmits, every node depletes by pure idle draw at
+// capacity/idle_power at both shard counts.
 TEST(ShardedScenario, IdleOnlyBatteryDeathMatchesSingleQueueExactly) {
   app::ScenarioConfig config = sharded_config(2, 1);
   config.duration = 30.0;
@@ -672,7 +674,7 @@ TEST(ShardedScenario, IdleOnlyBatteryDeathMatchesSingleQueueExactly) {
   config.battery.sensor_initial_j = 0.1;
   config.battery.wifi_initial_j = 0.05;
   const app::RunMetrics sharded = app::run_scenario(config);
-  config.shards = 1;  // dispatches to the historical single-queue engine
+  config.shards = 1;  // one partition: no stripe edge, exact event order
   const app::RunMetrics single = app::run_scenario(config);
   EXPECT_GT(sharded.battery_deaths, 0);
   EXPECT_EQ(sharded.battery_deaths, single.battery_deaths);
@@ -926,7 +928,16 @@ TEST(ShardedScenario, TdmaIsRejected) {
       app::EvalModel::kSensor, 6, 100);
   config.shards = 2;
   config.sensor_mac.family = mac::MacFamily::kTdma;
-  EXPECT_THROW(app::run_scenario(config), std::invalid_argument);
+  try {
+    app::run_scenario(config);
+    FAIL() << "TDMA on more than one partition must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "TDMA requires shards == 1 (beacon relay across stripes "
+                  "would race the slot clock)"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

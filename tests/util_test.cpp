@@ -1,4 +1,4 @@
-// Unit tests: util module (rng, units, options, log, contracts).
+// Unit tests: util module (rng, units, options, contracts, sysinfo).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "util/assert.hpp"
-#include "util/log.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
 #include "util/sysinfo.hpp"
@@ -208,13 +207,6 @@ TEST(Options, UsageMentionsEveryOption) {
   EXPECT_NE(u.find("--full"), std::string::npos);
   EXPECT_NE(u.find("--runs"), std::string::npos);
   EXPECT_NE(u.find("summary"), std::string::npos);
-}
-
-TEST(Log, LevelFilters) {
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  log_info("should be dropped silently");
-  set_log_level(LogLevel::kWarn);
 }
 
 TEST(Sysinfo, PeakRssIsPositiveAndMonotone) {
