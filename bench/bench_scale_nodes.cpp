@@ -158,9 +158,7 @@ int main(int argc, char** argv) {
     const net::ConvergecastRouting routes(graph, topo.sink);
     const double routing_ms = ms_since(t0);
 
-    double edges = 0;
-    for (net::NodeId id = 0; id < graph.node_count(); ++id)
-      edges += static_cast<double>(graph.neighbors(id).size());
+    const auto edges = static_cast<double>(graph.edge_count());
     // Cluster placements may strand even the sink's own island; report -1
     // rather than letting mean_depth() throw and abort the sweep.
     const std::size_t stranded = routes.stranded().size();

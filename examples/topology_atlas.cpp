@@ -50,9 +50,7 @@ int main(int argc, char** argv) {
     int components = 0;
     for (const int l : labels) components = std::max(components, l + 1);
     const auto stranded = net::unreachable_from(graph, topo.sink);
-    double degree = 0;
-    for (net::NodeId id = 0; id < graph.node_count(); ++id)
-      degree += static_cast<double>(graph.neighbors(id).size());
+    const auto degree = static_cast<double>(graph.edge_count());
     const net::ConvergecastRouting routes(graph, topo.sink);
     table.add_row({topo.name, std::to_string(topo.node_count()),
                    std::to_string(components),

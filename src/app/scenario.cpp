@@ -533,7 +533,7 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
                                                    config.shards);
   const int shard_count = map.count;
 
-  // Shared read-only structures: one connectivity graph per radio class
+  // Shared read-only structures: one connectivity graph per radio range
   // (each partition holds a reference, not a copy — O(n + e) once). With
   // static membership one Router per class is shared too
   // (RoutingTable/ConvergecastRouting queries are const and
@@ -552,8 +552,12 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
                                 nullptr, nullptr);
   }
   if (needs_high) {
-    high_graph =
-        std::make_shared<net::ConnectivityGraph>(topo.positions, wifi_range);
+    // Equal ranges give identical disc graphs: build one and share it
+    // (each radio class still gets its own link model and seed).
+    high_graph = low_graph != nullptr && wifi_range == low_graph->range()
+                     ? low_graph
+                     : std::make_shared<net::ConnectivityGraph>(
+                           topo.positions, wifi_range);
     if (!has_links)
       high_routes = build_routes(*high_graph, sink, all_pairs, "wifi",
                                  nullptr, nullptr);
@@ -571,8 +575,10 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
       const net::ConnectivityGraph& fault_graph =
           needs_low ? *low_graph : *high_graph;
       adjacency.reserve(static_cast<std::size_t>(n));
-      for (net::NodeId id = 0; id < n; ++id)
-        adjacency.push_back(fault_graph.neighbors(id));
+      for (net::NodeId id = 0; id < n; ++id) {
+        const net::NeighborRange row = fault_graph.neighbors(id);
+        adjacency.emplace_back(row.begin(), row.end());
+      }
     }
     fault_events =
         sim::FaultPlan(config.faults, n, sink, config.duration,
@@ -610,7 +616,8 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
   if (has_links) {
     std::vector<const net::ConnectivityGraph*> radio_graphs;
     if (needs_low) radio_graphs.push_back(low_graph.get());
-    if (needs_high) radio_graphs.push_back(high_graph.get());
+    if (needs_high && high_graph != low_graph)
+      radio_graphs.push_back(high_graph.get());
     const auto halos = map.halos(radio_graphs);
     for (int s = 0; s < shard_count; ++s) {
       ShardState& st = states[static_cast<std::size_t>(s)];

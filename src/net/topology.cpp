@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <unordered_map>
+#include <utility>
 
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -228,11 +228,53 @@ std::uint64_t pack_cell(std::int64_t cx, std::int64_t cy) {
          (static_cast<std::uint64_t>(cy) & 0xFFFFFFFFull);
 }
 
-/// Spatial-hash cell key for a position at the given cell size.
-std::uint64_t cell_key(const Position& p, util::Metres cell) {
-  return pack_cell(static_cast<std::int64_t>(std::floor(p.x / cell)),
-                   static_cast<std::int64_t>(std::floor(p.y / cell)));
+/// Spatial cell coordinate of one axis at the given cell size.
+std::int64_t cell_of(util::Metres v, util::Metres cell) {
+  return static_cast<std::int64_t>(std::floor(v / cell));
 }
+
+/// Flat open-addressing map from an occupied cell's key to a dense cell
+/// id (linear probing, Fibonacci hashing, load factor <= 1/2): two arrays
+/// for the whole population instead of one heap node per cell.
+class CellIndex {
+ public:
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+
+  explicit CellIndex(std::size_t max_cells) {
+    while ((std::size_t{1} << bits_) < 2 * max_cells) ++bits_;
+    keys_.resize(std::size_t{1} << bits_);
+    ids_.assign(std::size_t{1} << bits_, kNone);
+  }
+
+  /// Dense id of `key`, assigning the next one on first sight.
+  std::uint32_t insert(std::uint64_t key) {
+    const std::size_t h = probe(key);
+    if (ids_[h] == kNone) {
+      keys_[h] = key;
+      ids_[h] = count_++;
+    }
+    return ids_[h];
+  }
+
+  /// Dense id of `key`, or kNone when no node occupies that cell.
+  std::uint32_t find(std::uint64_t key) const { return ids_[probe(key)]; }
+
+  std::uint32_t size() const { return count_; }
+
+ private:
+  std::size_t probe(std::uint64_t key) const {
+    const std::size_t mask = keys_.size() - 1;
+    auto h = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                                      (64 - bits_));
+    while (ids_[h] != kNone && keys_[h] != key) h = (h + 1) & mask;
+    return h;
+  }
+
+  int bits_ = 1;
+  std::uint32_t count_ = 0;
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint32_t> ids_;
+};
 
 }  // namespace
 
@@ -241,54 +283,78 @@ ConnectivityGraph::ConnectivityGraph(std::vector<Position> positions,
     : positions_(std::move(positions)), range_(range) {
   BCP_REQUIRE(range > 0);
   const auto n = positions_.size();
-  neighbors_.resize(n);
 
   // Bucket nodes into cells of side `range`: any link spans at most one
   // cell in each axis, so each node only tests candidates from its 3×3
-  // cell block — O(n) total for bounded-density placements.
-  std::unordered_map<std::uint64_t, std::vector<NodeId>> cells;
-  cells.reserve(n);
+  // cell block — O(n) total for bounded-density placements. Members of
+  // cell c are member[cell_start[c], cell_start[c+1]), by a counting sort.
+  CellIndex index(n);
+  std::vector<std::uint32_t> cell(n);
   for (std::size_t i = 0; i < n; ++i)
-    cells[cell_key(positions_[i], range_)].push_back(
-        static_cast<NodeId>(i));
+    cell[i] = index.insert(pack_cell(cell_of(positions_[i].x, range_),
+                                     cell_of(positions_[i].y, range_)));
+  std::vector<std::size_t> cell_start(std::size_t{index.size()} + 1, 0);
+  for (const std::uint32_t c : cell) ++cell_start[c + 1];
+  for (std::size_t c = 0; c < index.size(); ++c)
+    cell_start[c + 1] += cell_start[c];
+  std::vector<NodeId> member(n);
+  {
+    std::vector<std::size_t> fill(cell_start.begin(), cell_start.end() - 1);
+    for (std::size_t i = 0; i < n; ++i)
+      member[fill[cell[i]]++] = static_cast<NodeId>(i);
+  }
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const Position& p = positions_[i];
-    const auto cx = static_cast<std::int64_t>(std::floor(p.x / range_));
-    const auto cy = static_cast<std::int64_t>(std::floor(p.y / range_));
-    auto& out = neighbors_[i];
+  // Every directed link a→b, walking each occupied cell's 3×3 block once
+  // for all of its members.
+  std::vector<std::pair<NodeId, NodeId>> links;
+  for (std::size_t c = 0; c < index.size(); ++c) {
+    const Position& anchor =
+        positions_[static_cast<std::size_t>(member[cell_start[c]])];
+    const std::int64_t cx = cell_of(anchor.x, range_);
+    const std::int64_t cy = cell_of(anchor.y, range_);
     for (std::int64_t dx = -1; dx <= 1; ++dx)
       for (std::int64_t dy = -1; dy <= 1; ++dy) {
-        const auto it = cells.find(pack_cell(cx + dx, cy + dy));
-        if (it == cells.end()) continue;
-        for (const NodeId b : it->second) {
-          if (static_cast<std::size_t>(b) == i) continue;
-          if (distance(p, positions_[static_cast<std::size_t>(b)]) <=
-              range_)
-            out.push_back(b);
+        const std::uint32_t d = index.find(pack_cell(cx + dx, cy + dy));
+        if (d == CellIndex::kNone) continue;
+        for (std::size_t j = cell_start[d]; j < cell_start[d + 1]; ++j) {
+          const NodeId b = member[j];
+          for (std::size_t k = cell_start[c]; k < cell_start[c + 1]; ++k) {
+            const NodeId a = member[k];
+            if (a != b &&
+                distance(positions_[static_cast<std::size_t>(a)],
+                         positions_[static_cast<std::size_t>(b)]) <= range_)
+              links.emplace_back(a, b);
+          }
         }
       }
-    // The pairwise scan this replaced produced ascending lists; keep that
-    // order so every downstream BFS walks links identically.
-    std::sort(out.begin(), out.end());
   }
-}
 
-const std::vector<NodeId>& ConnectivityGraph::neighbors(NodeId id) const {
-  BCP_REQUIRE(id >= 0 && id < node_count());
-  return neighbors_[static_cast<std::size_t>(id)];
+  // Counting sort into CSR rows.
+  offsets_.assign(n + 1, 0);
+  for (const auto& [a, b] : links) ++offsets_[static_cast<std::size_t>(a) + 1];
+  for (std::size_t i = 0; i < n; ++i) offsets_[i + 1] += offsets_[i];
+  neighbors_.resize(links.size());
+  std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (const auto& [a, b] : links)
+    neighbors_[cursor[static_cast<std::size_t>(a)]++] = b;
+  // The pairwise scan this replaced produced ascending rows; keep that
+  // order so every downstream BFS walks links identically.
+  for (std::size_t i = 0; i < n; ++i)
+    std::sort(neighbors_.begin() + static_cast<std::ptrdiff_t>(offsets_[i]),
+              neighbors_.begin() +
+                  static_cast<std::ptrdiff_t>(offsets_[i + 1]));
 }
 
 bool ConnectivityGraph::connected(NodeId a, NodeId b) const {
-  BCP_REQUIRE(a >= 0 && a < node_count());
-  BCP_REQUIRE(b >= 0 && b < node_count());
+  check(a);
+  check(b);
   if (a == b) return false;
   return distance(positions_[static_cast<std::size_t>(a)],
                   positions_[static_cast<std::size_t>(b)]) <= range_;
 }
 
 const Position& ConnectivityGraph::position(NodeId id) const {
-  BCP_REQUIRE(id >= 0 && id < node_count());
+  check(id);
   return positions_[static_cast<std::size_t>(id)];
 }
 

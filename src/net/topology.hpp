@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "net/message.hpp"
+#include "util/assert.hpp"
 #include "util/units.hpp"
 
 namespace bcp::net {
@@ -152,26 +153,64 @@ class GridTopology {
   std::vector<Position> positions_;
 };
 
+/// One node's neighbor row: a read-only view into a ConnectivityGraph's
+/// flat neighbor array, ascending by id. Valid while the graph lives.
+class NeighborRange {
+ public:
+  NeighborRange(const NodeId* first, const NodeId* last)
+      : first_(first), last_(last) {}
+  const NodeId* begin() const { return first_; }
+  const NodeId* end() const { return last_; }
+  std::size_t size() const { return static_cast<std::size_t>(last_ - first_); }
+  bool empty() const { return first_ == last_; }
+  NodeId operator[](std::size_t i) const { return first_[i]; }
+
+ private:
+  const NodeId* first_;
+  const NodeId* last_;
+};
+
 /// Undirected disc-model connectivity: a and b are linked iff
 /// distance(a, b) <= range. Neighbour discovery buckets nodes into a
 /// uniform spatial hash with cell size = range, so construction is O(n)
 /// for bounded-density placements instead of the former O(n²) pairwise
-/// scan; per-node neighbour lists are sorted ascending (the order the
-/// pairwise scan produced), so downstream BFS orders are unchanged.
+/// scan, and allocates a handful of flat arrays, not one vector per node.
+///
+/// Storage is CSR: row `id` is neighbors_[offsets_[id], offsets_[id+1]),
+/// sorted ascending (the order the pairwise scan produced), so downstream
+/// BFS orders are unchanged. Each directed link src→dst therefore has a
+/// dense *edge index* edge_begin(src) + i, where dst == neighbors(src)[i];
+/// per-link tables (phy::PropagationModel) are flat arrays over it.
 class ConnectivityGraph {
  public:
   ConnectivityGraph(std::vector<Position> positions, util::Metres range);
 
   int node_count() const { return static_cast<int>(positions_.size()); }
   util::Metres range() const { return range_; }
-  const std::vector<NodeId>& neighbors(NodeId id) const;
+  NeighborRange neighbors(NodeId id) const {
+    check(id);
+    const NodeId* base = neighbors_.data();
+    return {base + offsets_[static_cast<std::size_t>(id)],
+            base + offsets_[static_cast<std::size_t>(id) + 1]};
+  }
+  /// Edge index of src→neighbors(src)[0].
+  std::size_t edge_begin(NodeId src) const {
+    check(src);
+    return offsets_[static_cast<std::size_t>(src)];
+  }
+  /// Directed links (each undirected link counts twice): the size of any
+  /// edge-indexed table, and the sum of every row's size.
+  std::size_t edge_count() const { return neighbors_.size(); }
   bool connected(NodeId a, NodeId b) const;
   const Position& position(NodeId id) const;
 
  private:
+  void check(NodeId id) const { BCP_REQUIRE(id >= 0 && id < node_count()); }
+
   std::vector<Position> positions_;
   util::Metres range_;
-  std::vector<std::vector<NodeId>> neighbors_;
+  std::vector<std::size_t> offsets_;  ///< n + 1 row starts
+  std::vector<NodeId> neighbors_;     ///< rows back to back
 };
 
 /// Connected-component label per node (labels are 0-based, assigned in

@@ -15,14 +15,39 @@ Channel::Channel(sim::Simulator& sim, std::vector<net::Position> positions,
                                                        range),
               std::move(params), seed) {}
 
+namespace {
+
+/// The model a standalone channel builds for itself. Its seed is the one a
+/// sharded medium derives from its own seed for the model all partitions
+/// share, so a lone partition and a standalone channel agree link by link.
+std::shared_ptr<const PropagationModel> own_model(
+    const std::shared_ptr<const net::ConnectivityGraph>& graph,
+    const Channel::Params& params, std::uint64_t seed) {
+  BCP_REQUIRE(graph != nullptr);
+  return make_propagation_model(params.propagation, *graph,
+                                params.frame_loss_prob,
+                                propagation_seed(seed));
+}
+
+}  // namespace
+
 Channel::Channel(sim::Simulator& sim,
                  std::shared_ptr<const net::ConnectivityGraph> graph,
                  Params params, std::uint64_t seed)
+    : Channel(sim, graph, own_model(graph, params, seed), params, seed,
+              ShardingSpec{}) {}
+
+Channel::Channel(sim::Simulator& sim,
+                 std::shared_ptr<const net::ConnectivityGraph> graph,
+                 std::shared_ptr<const PropagationModel> model, Params params,
+                 std::uint64_t seed, ShardingSpec sharding)
     : sim_(sim),
       graph_(std::move(graph)),
       params_(std::move(params)),
-      rng_(util::substream(seed, 0, /*salt=*/0x43484E4C)) {
+      rng_(util::substream(seed, 0, /*salt=*/0x43484E4C)),
+      model_(std::move(model)) {
   BCP_REQUIRE(graph_ != nullptr);
+  BCP_REQUIRE(model_ != nullptr);
   // The closed interval: frame_loss_prob == 1.0 is a legitimate
   // "fully lossy link" configuration (every delivery corrupt, MAC retries
   // exhaust) — see the full-loss regression test.
@@ -36,52 +61,33 @@ Channel::Channel(sim::Simulator& sim,
   BCP_REQUIRE(std::isfinite(noise_mw_) && noise_mw_ > 0.0);
   capture_ = params_.capture.enabled;
   min_sinr_ = util::db_to_ratio(params_.capture.threshold_db);
-  model_ = make_propagation_model(params_.propagation, *graph_,
-                                  params_.frame_loss_prob,
-                                  util::substream(seed, 7, 0x50524F50u));
   uniform_loss_ = model_->uniform();
-  unit_loss_ = uniform_loss_ ? model_->loss_prob(0, 0, 0) : 0.0;
-  unit_rx_mw_ = uniform_loss_ ? model_->rx_power_mw(0, 0, 0) : 0.0;
-  // Sized for the global population here; a channel that becomes one
-  // partition of a sharded medium re-sizes these down to its owned stripe
-  // in enable_sharding, before any traffic.
-  const auto n = static_cast<std::size_t>(graph_->node_count());
-  listeners_.resize(n, nullptr);
-  arrivals_.resize(n);
-  arrival_power_mw_.resize(n, 0.0);
-  transmitting_.resize(n, 0);
-  own_tx_end_.resize(n, 0.0);
-  own_tx_start_.resize(n, 0.0);
-  arrival_max_end_.resize(n, 0.0);
-}
+  unit_loss_ = uniform_loss_ ? model_->loss_prob(0) : 0.0;
+  unit_rx_mw_ = uniform_loss_ ? model_->rx_power_mw(0) : 0.0;
 
-void Channel::enable_sharding(ShardingSpec spec) {
-  BCP_REQUIRE(spec.shard_of != nullptr && spec.local_of != nullptr &&
-              spec.emit != nullptr);
-  BCP_REQUIRE(spec.my_shard >= 0 && spec.my_shard < spec.shard_count);
-  BCP_REQUIRE(spec.owned_count > 0 &&
-              spec.owned_count <= graph().node_count());
-  BCP_REQUIRE_MSG(stats_.frames == 0 && stats_.rx_starts == 0,
-                  "enable_sharding must precede any traffic");
-  shard_of_ = spec.shard_of;
-  local_of_ = spec.local_of;
-  my_shard_ = spec.my_shard;
-  boundary_emit_ = std::move(spec.emit);
-  // Stripe-local sizing: the constructor sized these for the global
-  // population; swap them down to the owned stripe (swap, not resize —
-  // resize would keep the O(n) capacity this refactor exists to shed).
-  // From here on every access translates through li().
-  const auto m = static_cast<std::size_t>(spec.owned_count);
-  std::vector<ChannelListener*>(m, nullptr).swap(listeners_);
-  std::vector<std::vector<Arrival>>(m).swap(arrivals_);
-  std::vector<double>(m, 0.0).swap(arrival_power_mw_);
-  std::vector<std::uint64_t>(m, 0).swap(transmitting_);
-  std::vector<util::Seconds>(m, 0.0).swap(own_tx_end_);
-  std::vector<util::Seconds>(m, 0.0).swap(own_tx_start_);
-  std::vector<util::Seconds>(m, 0.0).swap(arrival_max_end_);
-  remote_seen_.assign(static_cast<std::size_t>(spec.shard_count), 0);
-  remote_dsts_.clear();
-  remote_dsts_.reserve(static_cast<std::size_t>(spec.shard_count));
+  std::size_t slots = static_cast<std::size_t>(graph_->node_count());
+  if (sharding.shard_of != nullptr) {
+    BCP_REQUIRE(sharding.local_of != nullptr && sharding.emit != nullptr);
+    BCP_REQUIRE(sharding.my_shard >= 0 &&
+                sharding.my_shard < sharding.shard_count);
+    BCP_REQUIRE(sharding.owned_count > 0 &&
+                sharding.owned_count <= graph_->node_count());
+    shard_of_ = sharding.shard_of;
+    local_of_ = sharding.local_of;
+    my_shard_ = sharding.my_shard;
+    boundary_emit_ = std::move(sharding.emit);
+    remote_seen_.assign(static_cast<std::size_t>(sharding.shard_count), 0);
+    remote_dsts_.reserve(static_cast<std::size_t>(sharding.shard_count));
+    // Stripe-local sizing: every access translates through li().
+    slots = static_cast<std::size_t>(sharding.owned_count);
+  }
+  listeners_.resize(slots, nullptr);
+  arrivals_.resize(slots);
+  arrival_power_mw_.resize(slots, 0.0);
+  transmitting_.resize(slots, 0);
+  own_tx_end_.resize(slots, 0.0);
+  own_tx_start_.resize(slots, 0.0);
+  arrival_max_end_.resize(slots, 0.0);
 }
 
 void Channel::attach(net::NodeId node, ChannelListener* listener) {
@@ -133,7 +139,8 @@ void Channel::start_tx(net::NodeId src, const Frame& frame,
   // Half-duplex: whatever the transmitter was hearing is lost to it.
   for (auto& a : arrivals(src)) a.clean = false;
 
-  const auto& nbrs = graph().neighbors(src);
+  const net::NeighborRange nbrs = graph().neighbors(src);
+  const std::size_t edge0 = graph().edge_begin(src);
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
     const net::NodeId r = nbrs[i];
     // A down link (or endpoint) suppresses the hearer entirely: no
@@ -151,7 +158,7 @@ void Channel::start_tx(net::NodeId src, const Frame& frame,
     }
     auto& at_r = arrivals(r);
     const double loss =
-        uniform_loss_ ? unit_loss_ : model_->loss_prob(src, i, r);
+        uniform_loss_ ? unit_loss_ : model_->loss_prob(edge0 + i);
     bool clean;
     double rx_mw = 0.0;
     double interference_mw = 0.0;
@@ -169,7 +176,7 @@ void Channel::start_tx(net::NodeId src, const Frame& frame,
       // hearer draws whether overlapped or not, so capture runs own a
       // different, denser RNG consumption than the golden-pinned default
       // path.)
-      rx_mw = uniform_loss_ ? unit_rx_mw_ : model_->rx_power_mw(src, i, r);
+      rx_mw = uniform_loss_ ? unit_rx_mw_ : model_->rx_power_mw(edge0 + i);
       double& power_sum = arrival_power_mw_[li(r)];
       for (auto& a : at_r)
         a.peak_interference_mw = std::max(
@@ -249,7 +256,8 @@ void Channel::begin_remote(std::uint64_t tx_id) {
   const util::Seconds now = sim_.now();
   const util::Seconds remaining = std::max(0.0, e - now);
 
-  const auto& nbrs = graph().neighbors(src);
+  const net::NeighborRange nbrs = graph().neighbors(src);
+  const std::size_t edge0 = graph().edge_begin(src);
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
     const net::NodeId r = nbrs[i];
     if (!owned(r)) continue;
@@ -261,7 +269,7 @@ void Channel::begin_remote(std::uint64_t tx_id) {
     if (links_ != nullptr && !links_->link_up(src, r)) continue;
     auto& at_r = arrivals(r);
     const double loss =
-        uniform_loss_ ? unit_loss_ : model_->loss_prob(src, i, r);
+        uniform_loss_ ? unit_loss_ : model_->loss_prob(edge0 + i);
     // Half-duplex over the true interval: the hearer's own transmission
     // collides only if it actually shared air time with [s, e).
     const bool tx_overlap =
@@ -279,7 +287,7 @@ void Channel::begin_remote(std::uint64_t tx_id) {
       }
       clean = !overlap && !rng_.chance(loss);
     } else {
-      rx_mw = uniform_loss_ ? unit_rx_mw_ : model_->rx_power_mw(src, i, r);
+      rx_mw = uniform_loss_ ? unit_rx_mw_ : model_->rx_power_mw(edge0 + i);
       double& power_sum = arrival_power_mw_[li(r)];
       for (auto& a : at_r) {
         if (a.start < e && s < a.end) {

@@ -109,12 +109,24 @@ class Channel {
   Channel(sim::Simulator& sim, std::vector<net::Position> positions,
           util::Metres range, Params params, std::uint64_t seed);
 
-  /// Shared-graph constructor: several channel partitions of one sharded
-  /// run (or any other co-located consumers) reuse a single connectivity
-  /// graph instead of rebuilding O(n + e) adjacency per partition.
+  /// Shared-graph constructor: several co-located consumers reuse a single
+  /// connectivity graph instead of rebuilding O(n + e) adjacency each. The
+  /// channel builds its own propagation model, seeded from `seed`.
   Channel(sim::Simulator& sim,
           std::shared_ptr<const net::ConnectivityGraph> graph, Params params,
           std::uint64_t seed);
+
+  struct ShardingSpec;
+
+  /// Shared-model constructor: the channel reads `model` — built over
+  /// `graph` from params.propagation and params.frame_loss_prob — and
+  /// never builds one, so every partition of a sharded medium shares one
+  /// link table (see phy::ShardedMedium). A non-empty `sharding` makes the
+  /// channel one such partition; see ShardingSpec.
+  Channel(sim::Simulator& sim,
+          std::shared_ptr<const net::ConnectivityGraph> graph,
+          std::shared_ptr<const PropagationModel> model, Params params,
+          std::uint64_t seed, ShardingSpec sharding);
 
   /// Registers the listener for a node. At most one per node.
   void attach(net::NodeId node, ChannelListener* listener);
@@ -142,9 +154,8 @@ class Channel {
   int node_count() const { return graph().node_count(); }
 
   /// Dense per-node slots actually allocated: node_count() for an
-  /// unsharded channel, the owned stripe's population after
-  /// enable_sharding — the white-box memory-model assertion the sharded
-  /// tests pin.
+  /// unsharded channel, the owned stripe's population for a partition —
+  /// the white-box memory-model assertion the sharded tests pin.
   std::size_t node_slots() const { return listeners_.size(); }
 
   const Stats& stats() const { return stats_; }
@@ -171,7 +182,8 @@ class Channel {
   // ---- Sharded operation (sim/sharded_simulator.hpp) ----
   //
   // A sharded run partitions the node plane: each shard owns one Channel
-  // over the *shared* full graph but only delivers to nodes it owns.
+  // over the *shared* full graph and link model but only delivers to
+  // nodes it owns.
   // A transmission whose hearer set crosses a shard edge is exported once
   // per remote shard as a RemoteFrame (payload deep-copied — pooled
   // MessageRefs are thread-local and must never cross shards) and
@@ -192,9 +204,19 @@ class Channel {
   using BoundaryEmit =
       std::function<void(std::int32_t dst_shard, RemoteFrame&& rf)>;
 
-  /// How a partition maps the global id space onto its own state — see
-  /// enable_sharding. `shard_of`/`local_of` are shared per-node arrays
-  /// (phy::ShardMap's), not owned, and must outlive the channel.
+  /// How a partition maps the global id space onto its own state.
+  /// `shard_of`/`local_of` are shared per-node arrays (phy::ShardMap's),
+  /// not owned, and must outlive the channel. A default (empty) spec
+  /// means an unsharded channel that owns every node.
+  ///
+  /// A partition delivers only to nodes with shard_of[id] == my_shard and
+  /// hands every transmission heard by other shards to `emit` (once per
+  /// destination shard). Its per-node vectors are sized `owned_count` —
+  /// every access translates global → stripe-local through `local_of`, so
+  /// a partition's node-indexed memory is O(n/shards), not O(n); the
+  /// shared read-only graph and link model stay global. Composes with
+  /// set_link_state: attach the shard's own LinkState replica and both the
+  /// local hearer loop and remote-frame replay consult it.
   struct ShardingSpec {
     const std::int32_t* shard_of = nullptr;  ///< global id → owning shard
     const std::int32_t* local_of = nullptr;  ///< global id → stripe-local id
@@ -203,19 +225,6 @@ class Channel {
     std::int32_t owned_count = 0;  ///< population of my_shard's stripe
     BoundaryEmit emit;
   };
-
-  /// Marks this channel as one shard of a partitioned medium: local
-  /// deliveries are restricted to nodes with shard_of[id] == my_shard,
-  /// and every transmission heard by other shards is handed to `emit`
-  /// (once per destination shard). The per-node vectors are re-sized from
-  /// the global population down to `owned_count` — every access to them
-  /// translates global → stripe-local through `local_of`, so a partition's
-  /// node-indexed memory is O(n/shards), not O(n) (the shared read-only
-  /// graph stays global). Must be called before any attach or traffic.
-  /// Composes with set_link_state: attach the shard's own LinkState
-  /// replica and both the local hearer loop and remote-frame replay
-  /// consult it.
-  void enable_sharding(ShardingSpec spec);
 
   /// Re-enacts a frame exported by a neighboring shard. A frame whose
   /// start is still in this shard's future is replayed with its exact
@@ -295,7 +304,7 @@ class Channel {
     return shard_of_ == nullptr || shard_of_[node] == my_shard_;
   }
   /// Index of `node` into the per-node vectors: the global id unsharded,
-  /// its stripe-local id after enable_sharding. Only valid for owned ids —
+  /// its stripe-local id in a partition. Only valid for owned ids —
   /// a remote id's local_of entry indexes a *different* shard's stripe, so
   /// every caller sits behind an owned() check.
   std::size_t li(net::NodeId node) const {
@@ -314,7 +323,7 @@ class Channel {
   Params params_;
   util::Xoshiro256 rng_;
   Stats stats_;
-  std::unique_ptr<PropagationModel> model_;
+  std::shared_ptr<const PropagationModel> model_;
   // UnitDisc fast path: constant loss probability and rx power, no
   // virtual call per hearer (uniform_loss_ caches model_->uniform()).
   bool uniform_loss_ = true;

@@ -42,16 +42,10 @@ class UnitDiscModel final : public PropagationModel {
         rx_power_mw_(util::dbm_to_mw(rx_power_dbm)) {}
 
   PropagationKind kind() const override { return PropagationKind::kUnitDisc; }
-  double loss_prob(net::NodeId, std::size_t, net::NodeId) const override {
-    return loss_;
-  }
+  double loss_prob(std::size_t) const override { return loss_; }
   bool uniform() const override { return true; }
-  double rx_power_dbm(net::NodeId, std::size_t, net::NodeId) const override {
-    return rx_power_dbm_;
-  }
-  double rx_power_mw(net::NodeId, std::size_t, net::NodeId) const override {
-    return rx_power_mw_;
-  }
+  double rx_power_dbm(std::size_t) const override { return rx_power_dbm_; }
+  double rx_power_mw(std::size_t) const override { return rx_power_mw_; }
 
  private:
   double loss_;
@@ -68,57 +62,58 @@ struct LinkBudget {
   double rx_power_mw = 0.0;
 };
 
-/// Shared implementation of the two per-link-table models: the table is
-/// aligned with graph.neighbors(src), so the Channel's hearer loop reads
-/// its link's loss probability (and rx power) by index.
+/// Shared implementation of the two per-link-table models: one flat
+/// LinkBudget per directed link, indexed by the graph's edge index, so the
+/// Channel's hearer loop reads its link's loss probability (and rx power)
+/// with one array access.
 class PerLinkModel final : public PropagationModel {
  public:
   template <typename BudgetFn>  // {per, rx_power_dbm} = fn(src, dst, distance)
   PerLinkModel(PropagationKind kind, const net::ConnectivityGraph& graph,
                double extra_loss, BudgetFn&& budget_of) : kind_(kind) {
-    const int n = graph.node_count();
-    links_.resize(static_cast<std::size_t>(n));
-    for (net::NodeId src = 0; src < n; ++src) {
-      const auto& nbrs = graph.neighbors(src);
-      auto& row = links_[static_cast<std::size_t>(src)];
-      row.reserve(nbrs.size());
-      for (const net::NodeId dst : nbrs) {
+    links_.resize(graph.edge_count());
+    for (net::NodeId src = 0; src < graph.node_count(); ++src) {
+      const net::NeighborRange row = graph.neighbors(src);
+      const std::size_t edge0 = graph.edge_begin(src);
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        const net::NodeId dst = row[i];
+        if (dst < src) {
+          // Links are symmetric: copy the reverse link, built earlier.
+          const net::NeighborRange back = graph.neighbors(dst);
+          const auto j = static_cast<std::size_t>(
+              std::lower_bound(back.begin(), back.end(), src) - back.begin());
+          links_[edge0 + i] = links_[graph.edge_begin(dst) + j];
+          continue;
+        }
         const double d =
             net::distance(graph.position(src), graph.position(dst));
         LinkBudget link = budget_of(src, dst, d);
         link.loss = compose(std::clamp(link.loss, 0.0, 1.0), extra_loss);
         link.rx_power_mw = util::dbm_to_mw(link.rx_power_dbm);
-        row.push_back(link);
+        links_[edge0 + i] = link;
       }
     }
   }
 
   PropagationKind kind() const override { return kind_; }
-  double loss_prob(net::NodeId src, std::size_t neighbor_index,
-                   net::NodeId dst) const override {
-    (void)dst;
-    const auto& row = links_[static_cast<std::size_t>(src)];
-    BCP_REQUIRE(neighbor_index < row.size());
-    return row[neighbor_index].loss;
+  double loss_prob(std::size_t edge) const override {
+    return at(edge).loss;
   }
-  double rx_power_dbm(net::NodeId src, std::size_t neighbor_index,
-                      net::NodeId dst) const override {
-    (void)dst;
-    const auto& row = links_[static_cast<std::size_t>(src)];
-    BCP_REQUIRE(neighbor_index < row.size());
-    return row[neighbor_index].rx_power_dbm;
+  double rx_power_dbm(std::size_t edge) const override {
+    return at(edge).rx_power_dbm;
   }
-  double rx_power_mw(net::NodeId src, std::size_t neighbor_index,
-                     net::NodeId dst) const override {
-    (void)dst;
-    const auto& row = links_[static_cast<std::size_t>(src)];
-    BCP_REQUIRE(neighbor_index < row.size());
-    return row[neighbor_index].rx_power_mw;
+  double rx_power_mw(std::size_t edge) const override {
+    return at(edge).rx_power_mw;
   }
 
  private:
+  const LinkBudget& at(std::size_t edge) const {
+    BCP_REQUIRE(edge < links_.size());
+    return links_[edge];
+  }
+
   PropagationKind kind_;
-  std::vector<std::vector<LinkBudget>> links_;
+  std::vector<LinkBudget> links_;  // by edge index
 };
 
 /// One standard-normal draw from a generator seeded per link. Box–Muller;

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "net/topology.hpp"
+#include "util/rng.hpp"
 
 namespace bcp::phy {
 
@@ -93,6 +94,16 @@ struct PropagationSpec {
 const std::vector<PerPoint>& kDefaultPerCurve();
 
 /// Per-link loss oracle the Channel queries once per (frame, hearer).
+///
+/// Links are addressed by the graph's edge index: src→dst, where dst is
+/// graph.neighbors(src)[i], is edge graph.edge_begin(src) + i (the
+/// Channel's hearer loop already has both, making lookups O(1)).
+///
+/// Contract: every per-link value — loss probability, rx power — is a
+/// function of (seed, endpoint pair) and the link's geometry only, and
+/// a→b equals b→a. Nothing depends on who builds or queries the model, so
+/// one model per radio class is shared, read-only, by every partition of
+/// a sharded medium (phy::ShardedMedium), from any thread.
 class PropagationModel {
  public:
   virtual ~PropagationModel() = default;
@@ -100,30 +111,33 @@ class PropagationModel {
   virtual PropagationKind kind() const = 0;
   const char* name() const { return to_string(kind()); }
 
-  /// Loss probability for a frame src→dst, where dst is
-  /// graph.neighbors(src)[neighbor_index] (the Channel's hearer loop
-  /// already has the index, making per-link lookups O(1)). Includes the
-  /// composed extra Bernoulli loss; excludes collisions.
-  virtual double loss_prob(net::NodeId src, std::size_t neighbor_index,
-                           net::NodeId dst) const = 0;
+  /// Loss probability for a frame on link `edge`. Includes the composed
+  /// extra Bernoulli loss; excludes collisions.
+  virtual double loss_prob(std::size_t edge) const = 0;
 
   /// True when loss_prob is one constant for every link (UnitDisc) — lets
   /// the Channel skip the virtual call on its hot path.
   virtual bool uniform() const { return false; }
 
-  /// Received signal power (dBm) for a heard frame src→dst, indexed like
-  /// loss_prob. Only consulted when the Channel's SINR/capture mode is on
-  /// (one call per (frame, hearer) at rx_start); per-link values are
-  /// frozen at model build, sharing the loss table's shadowing draws.
-  virtual double rx_power_dbm(net::NodeId src, std::size_t neighbor_index,
-                              net::NodeId dst) const = 0;
+  /// Received signal power (dBm) for a heard frame on link `edge`. Only
+  /// consulted when the Channel's SINR/capture mode is on (one call per
+  /// (frame, hearer) at rx_start); per-link values are frozen at model
+  /// build, sharing the loss table's shadowing draws.
+  virtual double rx_power_dbm(std::size_t edge) const = 0;
 
   /// Same power in linear mW — what the Channel's interference sums
   /// actually consume. Implementations precompute it next to the frozen
   /// dBm value so the hot path never pays a per-arrival pow().
-  virtual double rx_power_mw(net::NodeId src, std::size_t neighbor_index,
-                             net::NodeId dst) const = 0;
+  virtual double rx_power_mw(std::size_t edge) const = 0;
 };
+
+/// The seed of the link model a medium seeded `medium_seed` builds: one
+/// model per medium (radio class), shared by all of its partitions, so a
+/// link's draws depend on (medium seed, endpoint pair) and never on the
+/// shard count. A standalone Channel derives the same seed from its own.
+inline std::uint64_t propagation_seed(std::uint64_t medium_seed) {
+  return util::substream(medium_seed, 7, /*salt=*/0x50524F50u);  // "PROP"
+}
 
 /// Builds the model `spec` describes over `graph`, composing `extra_loss`
 /// (the Channel's frame_loss_prob) into every link. Per-link tables

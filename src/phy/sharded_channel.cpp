@@ -105,6 +105,11 @@ ShardedMedium::ShardedMedium(
   mail_.resize(static_cast<std::size_t>(count_) *
                static_cast<std::size_t>(count_));
   scratch_.resize(static_cast<std::size_t>(count_));
+  // One link model for the whole medium, shared read-only by every
+  // partition: a link's draws depend on (seed, endpoint pair) only.
+  const std::shared_ptr<const PropagationModel> model =
+      make_propagation_model(params.propagation, *graph,
+                             params.frame_loss_prob, propagation_seed(seed));
   channels_.resize(static_cast<std::size_t>(count_));
   for (int s = 0; s < count_; ++s) {
     // A lone partition is the whole medium and draws from the medium's
@@ -113,8 +118,6 @@ ShardedMedium::ShardedMedium(
         count_ == 1 ? seed
                     : util::substream(seed, static_cast<std::uint64_t>(s),
                                       0x53484152u);
-    auto channel = std::make_unique<Channel>(engine.shard(s), graph, params,
-                                             channel_seed);
     Channel::ShardingSpec spec;
     spec.shard_of = map_.shard_of.data();
     spec.local_of = map_.local_of.data();
@@ -128,8 +131,9 @@ ShardedMedium::ShardedMedium(
           static_cast<std::size_t>(engine_.current_window() & 1);
       mail(s, dst).buf[parity].push_back(std::move(rf));
     };
-    channel->enable_sharding(std::move(spec));
-    channels_[static_cast<std::size_t>(s)] = std::move(channel);
+    channels_[static_cast<std::size_t>(s)] = std::make_unique<Channel>(
+        engine.shard(s), graph, model, params, channel_seed,
+        std::move(spec));
   }
 }
 

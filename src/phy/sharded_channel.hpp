@@ -6,15 +6,16 @@
 // alternate across space.
 //
 // ShardedMedium is one radio class's Channel, partitioned: every shard
-// gets a Channel over the *shared* connectivity graph that delivers only
-// to nodes the shard owns. Transmissions heard across a stripe edge are
-// exported as Channel::RemoteFrame records into per-directed-pair
-// mailboxes and injected into the destination shard at its next window
-// drain. Mailboxes are double-buffered by window parity: with the
-// engine's even-then-odd phase order, the buffer a writer appends to in
-// window k is never the buffer its reader drains in window k, so the
-// exchange is lock-free — the engine's phase barriers provide all the
-// ordering (see the buffer-parity proof at drain()).
+// gets a Channel over the *shared* connectivity graph and the *shared*
+// propagation model (one per medium) that delivers only to nodes the shard
+// owns. Transmissions heard across a stripe edge are exported as
+// Channel::RemoteFrame records into per-directed-pair mailboxes and
+// injected into the destination shard at its next window drain.
+// Mailboxes are double-buffered by window parity: with the engine's
+// even-then-odd phase order, the buffer a writer appends to in window k is
+// never the buffer its reader drains in window k, so the exchange is
+// lock-free — the engine's phase barriers provide all the ordering (see
+// the buffer-parity proof at drain()).
 #pragma once
 
 #include <cstdint>
@@ -73,9 +74,13 @@ struct ShardMap {
 
 class ShardedMedium {
  public:
-  /// One Channel per engine shard over the shared graph. Shard s draws
-  /// from RNG substream (seed, s) — deterministic at fixed shard count;
-  /// a lone partition is the whole medium and draws from `seed` itself.
+  /// One Channel per engine shard over the shared graph and one shared
+  /// link model. The model is seeded by propagation_seed(seed) — the seed
+  /// a standalone Channel seeded `seed` derives — so every link's loss and
+  /// rx power are the same at every shard count. Delivery draws are not:
+  /// shard s draws its Bernoulli losses from RNG substream (seed, s),
+  /// deterministic at fixed shard count; a lone partition is the whole
+  /// medium and draws from `seed` itself.
   ShardedMedium(sim::ShardedSimulator& engine,
                 std::shared_ptr<const net::ConnectivityGraph> graph,
                 const ShardMap& map, Channel::Params params,

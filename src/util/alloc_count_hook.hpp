@@ -20,6 +20,8 @@
 namespace bcp::util {
 /// Total operator-new/new[] calls in this process since start.
 inline std::uint64_t g_alloc_count = 0;
+/// Total bytes those calls requested.
+inline std::uint64_t g_alloc_bytes = 0;
 }  // namespace bcp::util
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -30,6 +32,7 @@ inline std::uint64_t g_alloc_count = 0;
 
 BCP_ALLOC_HOOK_NOINLINE void* operator new(std::size_t n) {
   ++bcp::util::g_alloc_count;
+  bcp::util::g_alloc_bytes += n;
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
@@ -41,6 +44,7 @@ BCP_ALLOC_HOOK_NOINLINE void operator delete(void* p, std::size_t) noexcept {
 }
 BCP_ALLOC_HOOK_NOINLINE void* operator new[](std::size_t n) {
   ++bcp::util::g_alloc_count;
+  bcp::util::g_alloc_bytes += n;
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }

@@ -15,10 +15,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 
 #include "net/message.hpp"
 #include "net/message_ref.hpp"
+#include "net/topology.hpp"
 #include "phy/channel.hpp"
+#include "phy/sharded_channel.hpp"
+#include "sim/sharded_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "util/alloc_count_hook.hpp"
 #include "util/units.hpp"
@@ -107,6 +111,40 @@ TEST(PerfAlloc, CaptureChannelHotPathIsAllocationFreeWhenWarm) {
       << "the capture channel allocated in steady state";
   EXPECT_GT(ch.stats().deliveries_corrupt, 0);  // collisions really happened
   EXPECT_EQ(ch.live_arrivals(), 0);
+}
+
+// Partitioning a medium copies nothing per node: the graph and the link
+// model are shared, and each partition sizes its per-node arrays by its
+// own stripe. Every extra partition therefore adds a constant number of
+// allocations and bytes — not ~n allocations (a vector-per-node table)
+// or ~e link budgets (a whole-graph link table of its own).
+TEST(PerfAlloc, ShardedMediumAllocationsAreFlatInTheShardCount) {
+  const net::Topology topo = net::Topology::grid(100, 40.0 * 99, 0);
+  const auto graph =
+      std::make_shared<const net::ConnectivityGraph>(topo.positions, 40.0);
+  phy::Channel::Params params;
+  params.propagation.kind = phy::PropagationKind::kLogDistance;
+  struct Cost {
+    std::int64_t allocs;
+    std::int64_t bytes;
+  };
+  const auto build_cost = [&](int shards) {
+    sim::ShardedSimulator engine({shards, 1, 0.02});
+    const phy::ShardMap map = phy::ShardMap::stripes(topo.positions, shards);
+    const std::uint64_t allocs = g_alloc_count;
+    const std::uint64_t bytes = util::g_alloc_bytes;
+    const phy::ShardedMedium medium(engine, graph, map, params, 1);
+    return Cost{static_cast<std::int64_t>(g_alloc_count - allocs),
+                static_cast<std::int64_t>(util::g_alloc_bytes - bytes)};
+  };
+  const Cost two = build_cost(2);
+  const Cost eight = build_cost(8);
+  constexpr std::int64_t kAllocsPerPartition = 32;
+  constexpr std::int64_t kBytesPerPartition = 4096;
+  EXPECT_LE(eight.allocs - two.allocs, (8 - 2) * kAllocsPerPartition)
+      << "2 shards: " << two.allocs << ", 8 shards: " << eight.allocs;
+  EXPECT_LE(eight.bytes - two.bytes, (8 - 2) * kBytesPerPartition)
+      << "2 shards: " << two.bytes << " B, 8 shards: " << eight.bytes << " B";
 }
 
 TEST(PerfAlloc, PooledControlMessagesAreAllocationFreeWhenWarm) {

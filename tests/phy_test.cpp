@@ -208,12 +208,12 @@ TEST(ChannelLoss, FullLossYieldsZeroCleanDeliveries) {
 
 // ---------------------------------------------------------- Propagation --
 
-/// Neighbour index of `dst` in graph.neighbors(src) (asserts it exists).
-std::size_t nbr_index(const net::ConnectivityGraph& graph, NodeId src,
-                      NodeId dst) {
-  const auto& nbrs = graph.neighbors(src);
+/// Edge index of the link src→dst (asserts it exists).
+std::size_t edge_of(const net::ConnectivityGraph& graph, NodeId src,
+                    NodeId dst) {
+  const net::NeighborRange nbrs = graph.neighbors(src);
   for (std::size_t i = 0; i < nbrs.size(); ++i)
-    if (nbrs[i] == dst) return i;
+    if (nbrs[i] == dst) return graph.edge_begin(src) + i;
   ADD_FAILURE() << dst << " not a neighbour of " << src;
   return 0;
 }
@@ -224,8 +224,9 @@ TEST(Propagation, AutoResolvesToUnitDiscWithTheExtraLossKnob) {
       make_propagation_model(PropagationSpec{}, graph, 0.25, 1);
   EXPECT_EQ(model->kind(), PropagationKind::kUnitDisc);
   EXPECT_TRUE(model->uniform());
-  EXPECT_DOUBLE_EQ(model->loss_prob(0, 0, 1), 0.25);
-  EXPECT_DOUBLE_EQ(model->loss_prob(1, 1, 2), 0.25);  // every link alike
+  EXPECT_DOUBLE_EQ(model->loss_prob(edge_of(graph, 0, 1)), 0.25);
+  EXPECT_DOUBLE_EQ(model->loss_prob(edge_of(graph, 1, 2)),
+                   0.25);  // every link alike
 }
 
 TEST(Propagation, LogDistancePerGrowsWithDistanceAndIsSymmetric) {
@@ -235,14 +236,14 @@ TEST(Propagation, LogDistancePerGrowsWithDistanceAndIsSymmetric) {
   spec.shadowing_sigma_db = 0.0;  // isolate the distance term
   const auto model = make_propagation_model(spec, graph, 0.0, 1);
   EXPECT_FALSE(model->uniform());
-  const double near = model->loss_prob(0, nbr_index(graph, 0, 1), 1);
-  const double far = model->loss_prob(0, nbr_index(graph, 0, 2), 2);
+  const double near = model->loss_prob(edge_of(graph, 0, 1));
+  const double far = model->loss_prob(edge_of(graph, 0, 2));
   EXPECT_GE(near, 0.0);
   EXPECT_LE(far, 1.0);
   EXPECT_LT(near, far);  // 10 m link beats the 35 m link
   // Symmetric per link.
-  EXPECT_DOUBLE_EQ(model->loss_prob(1, nbr_index(graph, 1, 0), 0), near);
-  EXPECT_DOUBLE_EQ(model->loss_prob(2, nbr_index(graph, 2, 0), 0), far);
+  EXPECT_DOUBLE_EQ(model->loss_prob(edge_of(graph, 1, 0)), near);
+  EXPECT_DOUBLE_EQ(model->loss_prob(edge_of(graph, 2, 0)), far);
 }
 
 TEST(Propagation, LogDistanceShadowingIsFrozenPerLinkAndSeed) {
@@ -253,13 +254,12 @@ TEST(Propagation, LogDistanceShadowingIsFrozenPerLinkAndSeed) {
   const auto a = make_propagation_model(spec, graph, 0.0, 9);
   const auto b = make_propagation_model(spec, graph, 0.0, 9);
   const auto c = make_propagation_model(spec, graph, 0.0, 10);
-  const std::size_t i01 = nbr_index(graph, 0, 1);
+  const std::size_t e01 = edge_of(graph, 0, 1);
   // Same seed — identical frozen PER; different seed — different shadow.
-  EXPECT_DOUBLE_EQ(a->loss_prob(0, i01, 1), b->loss_prob(0, i01, 1));
-  EXPECT_NE(a->loss_prob(0, i01, 1), c->loss_prob(0, i01, 1));
+  EXPECT_DOUBLE_EQ(a->loss_prob(e01), b->loss_prob(e01));
+  EXPECT_NE(a->loss_prob(e01), c->loss_prob(e01));
   // Symmetric even under shadowing (one draw per unordered pair).
-  EXPECT_DOUBLE_EQ(a->loss_prob(0, i01, 1),
-                   a->loss_prob(1, nbr_index(graph, 1, 0), 0));
+  EXPECT_DOUBLE_EQ(a->loss_prob(e01), a->loss_prob(edge_of(graph, 1, 0)));
 }
 
 TEST(Propagation, DistancePerInterpolatesTheCurve) {
@@ -271,9 +271,9 @@ TEST(Propagation, DistancePerInterpolatesTheCurve) {
   const auto model = make_propagation_model(spec, graph, 0.0, 1);
   // d = 25 → halfway to the 0.5 knot → per 0.1; d = 50 (node 1→2) → 0.2;
   // d = 75 → halfway from 0.2 to 1.0 → 0.6.
-  EXPECT_NEAR(model->loss_prob(0, nbr_index(graph, 0, 1), 1), 0.1, 1e-12);
-  EXPECT_NEAR(model->loss_prob(1, nbr_index(graph, 1, 2), 2), 0.2, 1e-12);
-  EXPECT_NEAR(model->loss_prob(0, nbr_index(graph, 0, 2), 2), 0.6, 1e-12);
+  EXPECT_NEAR(model->loss_prob(edge_of(graph, 0, 1)), 0.1, 1e-12);
+  EXPECT_NEAR(model->loss_prob(edge_of(graph, 1, 2)), 0.2, 1e-12);
+  EXPECT_NEAR(model->loss_prob(edge_of(graph, 0, 2)), 0.6, 1e-12);
 }
 
 TEST(Propagation, RxPowerFollowsTheLinkBudget) {
@@ -287,17 +287,18 @@ TEST(Propagation, RxPowerFollowsTheLinkBudget) {
   spec.shadowing_sigma_db = 0.0;  // isolate the distance term
   const auto model = make_propagation_model(spec, graph, 0.0, 1);
   // 4 m link: -80 + 30·log10(40/4) = -50 dBm; 36 m link ≈ -78.6 dBm.
-  EXPECT_NEAR(model->rx_power_dbm(0, nbr_index(graph, 0, 1), 1), -50.0,
+  EXPECT_NEAR(model->rx_power_dbm(edge_of(graph, 0, 1)), -50.0,
               1e-9);
-  EXPECT_NEAR(model->rx_power_dbm(0, nbr_index(graph, 0, 2), 2),
+  EXPECT_NEAR(model->rx_power_dbm(edge_of(graph, 0, 2)),
               -80.0 + 30.0 * std::log10(40.0 / 36.0), 1e-9);
-  EXPECT_DOUBLE_EQ(model->rx_power_mw(0, nbr_index(graph, 0, 1), 1),
-                   util::dbm_to_mw(model->rx_power_dbm(
-                       0, nbr_index(graph, 0, 1), 1)));
+  EXPECT_DOUBLE_EQ(
+      model->rx_power_mw(edge_of(graph, 0, 1)),
+      util::dbm_to_mw(model->rx_power_dbm(edge_of(graph, 0, 1))));
   // Unit-disc (and distance-PER) links share one fixed on/off power.
   const auto disc = make_propagation_model(PropagationSpec{}, graph, 0.0, 1);
-  EXPECT_DOUBLE_EQ(disc->rx_power_dbm(0, 0, 1), -60.0);
-  EXPECT_DOUBLE_EQ(disc->rx_power_mw(0, 0, 1), util::dbm_to_mw(-60.0));
+  EXPECT_DOUBLE_EQ(disc->rx_power_dbm(edge_of(graph, 0, 1)), -60.0);
+  EXPECT_DOUBLE_EQ(disc->rx_power_mw(edge_of(graph, 0, 1)),
+                   util::dbm_to_mw(-60.0));
 }
 
 TEST(Propagation, ExtraLossComposesIndependently) {
@@ -307,7 +308,7 @@ TEST(Propagation, ExtraLossComposesIndependently) {
   spec.per_curve = {{0.0, 0.5}, {1.0, 0.5}};
   const auto model = make_propagation_model(spec, graph, 0.2, 1);
   // p = per + extra − per·extra = 0.5 + 0.2 − 0.1 = 0.6.
-  EXPECT_NEAR(model->loss_prob(0, 0, 1), 0.6, 1e-12);
+  EXPECT_NEAR(model->loss_prob(edge_of(graph, 0, 1)), 0.6, 1e-12);
 }
 
 TEST(Propagation, InvalidSpecsThrow) {

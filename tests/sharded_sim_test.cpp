@@ -762,6 +762,65 @@ TEST(ShardedChannel, PartitionVectorsAreStripeLocal) {
         << "shard " << s;
 }
 
+// The link field belongs to the medium, not to its partitioning: one
+// model per medium, shared by every partition and seeded the way a lone
+// partition (and a standalone Channel) seeds it, so each link's loss and
+// rx power are the same at every shard count. Log-distance shadowing with
+// capture on makes both values live.
+TEST(ShardedChannel, LinkFieldIsIndependentOfTheShardCount) {
+  const net::Topology topo = net::Topology::grid(50, 40.0 * 49, 0);
+  const auto graph =
+      std::make_shared<const net::ConnectivityGraph>(topo.positions, 60.0);
+  phy::Channel::Params params;
+  params.frame_loss_prob = 0.05;
+  params.propagation.kind = phy::PropagationKind::kLogDistance;
+  params.capture.enabled = true;
+  constexpr std::uint64_t kSeed = 2024;
+
+  // A link's reverse edge index (rows are ascending).
+  const auto reverse = [&](net::NodeId a, net::NodeId b) {
+    const net::NeighborRange back = graph->neighbors(b);
+    return graph->edge_begin(b) +
+           static_cast<std::size_t>(
+               std::lower_bound(back.begin(), back.end(), a) - back.begin());
+  };
+
+  sim::ShardedSimulator lone_engine({1, 1, 0.02});
+  const phy::ShardMap lone_map = phy::ShardMap::stripes(topo.positions, 1);
+  const phy::ShardedMedium lone(lone_engine, graph, lone_map, params, kSeed);
+  const phy::PropagationModel& ref = lone.shard(0).propagation();
+  sim::Simulator sim;
+  const phy::Channel standalone(sim, graph, params, kSeed);
+
+  for (const int shards : {1, 2, 4, 8}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    sim::ShardedSimulator engine({shards, 1, 0.02});
+    const phy::ShardMap map = phy::ShardMap::stripes(topo.positions, shards);
+    const phy::ShardedMedium medium(engine, graph, map, params, kSeed);
+    const phy::PropagationModel& model = medium.shard(0).propagation();
+    for (int s = 1; s < shards; ++s)
+      EXPECT_EQ(&medium.shard(s).propagation(), &model) << "shard " << s;
+    for (net::NodeId a = 0; a < graph->node_count(); ++a) {
+      const net::NeighborRange row = graph->neighbors(a);
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        const std::size_t e = graph->edge_begin(a) + i;
+        const std::size_t r = reverse(a, row[i]);
+        ASSERT_EQ(model.loss_prob(e), ref.loss_prob(e)) << a << "->" << row[i];
+        ASSERT_EQ(model.rx_power_dbm(e), ref.rx_power_dbm(e))
+            << a << "->" << row[i];
+        ASSERT_EQ(model.loss_prob(r), model.loss_prob(e)) << a << "<->" << row[i];
+        ASSERT_EQ(model.rx_power_dbm(r), model.rx_power_dbm(e))
+            << a << "<->" << row[i];
+      }
+    }
+  }
+  // The shards = 1 field is the standalone channel's, link for link.
+  for (std::size_t e = 0; e < graph->edge_count(); ++e) {
+    ASSERT_EQ(standalone.propagation().loss_prob(e), ref.loss_prob(e));
+    ASSERT_EQ(standalone.propagation().rx_power_dbm(e), ref.rx_power_dbm(e));
+  }
+}
+
 TEST(LinkStateReplica, StripeLocalDenseSizeIsOwnedPlusHalo) {
   const ChainFixture fx;
   const phy::ShardMap map = phy::ShardMap::stripes(fx.positions, 2);
