@@ -2,11 +2,12 @@
 // harnesses lean on: event queue churn, buffer push/pop, break-even
 // solving, RNG, MAC-level frame exchange, and a full small scenario.
 //
-// The *SteadyState benchmarks additionally report an `allocs_per_item`
-// counter from a process-wide operator-new hook: the schedule/cancel and
-// bulk fan-out paths are required to run allocation-free once warm (the
-// contract tests/perf_alloc_test.cpp enforces), and the counter makes a
-// regression visible here as a number instead of a silent slowdown.
+// The *SteadyState benchmarks and BM_DynamicRoutingRebuild additionally
+// report an `allocs_per_item` counter from a process-wide operator-new
+// hook: the schedule/cancel, reschedule, bulk fan-out and route-rebuild
+// paths are required to run allocation-free once warm (the contract
+// tests/perf_alloc_test.cpp enforces), and the counter makes a regression
+// visible here as a number instead of a silent slowdown.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -15,6 +16,7 @@
 #include "core/bulk_buffer.hpp"
 #include "energy/breakeven.hpp"
 #include "energy/radio_model.hpp"
+#include "net/link_state.hpp"
 #include "net/message_ref.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
@@ -99,6 +101,34 @@ void BM_SimulatorScheduleCancelSteadyState(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_SimulatorScheduleCancelSteadyState);
+
+/// The battery re-arm pattern: one long-lived event moved in place by
+/// reschedule_in, sifting through a standing population of other events.
+void BM_SimulatorRescheduleSteadyState(benchmark::State& state) {
+  sim::Simulator sim;
+  long long fired = 0;
+  for (int i = 0; i < 1024; ++i)
+    sim.schedule_at(1e9 + i, [&fired] { ++fired; });
+  const auto death = sim.schedule_in(1.0, [&fired] { ++fired; });
+  util::Xoshiro256 rng(1);
+  const auto cycle = [&](int n) {
+    for (int i = 0; i < n; ++i)
+      sim.reschedule_in(death, rng.uniform(0.0, 2e9));
+  };
+  cycle(512);  // warm-up
+  const std::uint64_t before = g_alloc_count;
+  std::uint64_t items = 0;
+  for (auto _ : state) {
+    cycle(512);
+    items += 512;
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(static_cast<std::int64_t>(items));
+  state.counters["allocs_per_item"] = benchmark::Counter(
+      static_cast<double>(g_alloc_count - before) / 512.0,
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SimulatorRescheduleSteadyState);
 
 /// Channel::start_tx fan-out of a pooled 50-packet bulk payload to N
 /// hearers — the shared-immutable message path. Before MessageRef this
@@ -268,6 +298,35 @@ void BM_ConvergecastRoutingBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ConvergecastRoutingBuild)->Arg(1000)->Arg(10000);
+
+/// One membership epoch of the churn-lifetime shape: a 2,500-node grid
+/// with a central sink, lifetime-aware costs, one node toggled per
+/// iteration and the in-place tree rebuild the next query triggers.
+/// `allocs_per_item` must read 0.00 (tests/perf_alloc_test.cpp).
+void BM_DynamicRoutingRebuild(benchmark::State& state) {
+  const net::NodeId sink = 25 * 50 + 25;
+  const net::Topology topo = net::Topology::grid(50, 40.0 * 49, sink);
+  const net::ConnectivityGraph graph(topo.positions, 40.0);
+  net::LinkState links(graph.node_count());
+  const net::DynamicRouting routes(
+      graph, sink, links, /*all_pairs=*/false,
+      net::RoutePolicy::kLifetimeAware,
+      [](net::NodeId v) { return 0.1 * static_cast<double>(v % 7); });
+  bool up = true;
+  const auto toggle = [&] {
+    up = !up;
+    links.set_node_up(sink + 3, up);
+    benchmark::DoNotOptimize(routes.next_hop(0, sink));
+  };
+  for (int i = 0; i < 4; ++i) toggle();  // warm-up
+  const std::uint64_t before = g_alloc_count;
+  for (auto _ : state) toggle();
+  state.SetItemsProcessed(state.iterations());
+  state.counters["allocs_per_item"] = benchmark::Counter(
+      static_cast<double>(g_alloc_count - before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_DynamicRoutingRebuild);
 
 void BM_ScenarioDualRadioShort(benchmark::State& state) {
   for (auto _ : state) {

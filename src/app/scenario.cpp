@@ -16,8 +16,10 @@
 //
 // Membership epochs: fault/churn and finite batteries mutate LinkState
 // membership mid-run, which a single shared LinkState cannot survive
-// under real threads. Instead every shard owns a LinkState *replica* per
-// radio class. The shard that owns a node executes its crash / recover /
+// under real threads. Instead every shard owns one LinkState *replica*,
+// read by both radio classes' channel partitions and routers (every
+// mutation hits both classes alike, so one replica serves them). The
+// shard that owns a node executes its crash / recover /
 // depletion at the exact event instant against its own replica (through
 // app::crash_node, so local timing is exact), queues the mutation as a
 // net::MembershipDelta, and the coordinator broadcasts the accumulated
@@ -25,7 +27,7 @@
 // (time, shard, node) order — a remote shard sees a membership change at
 // most one exchange window late, the same staleness bound the
 // boundary-frame mailboxes already carry. A coordinator-owned replica
-// pair receives the same global delta sequence and answers the
+// receives the same global delta sequence and answers the
 // sink-partition checks exactly at each death's event time. Delivered
 // counts referenced by the "bits until first death / partition" metrics
 // are read at the publishing barrier (≤ one window after the event), and
@@ -128,19 +130,11 @@ void classify_drop(RunMetrics& m, const char* reason) {
     ++m.dropped_no_route;
 }
 
-/// Builds one radio graph's routes, rejecting placements where any node
-/// is cut off from the sink — a silent kInvalidNode route at runtime
-/// would just bleed packets as "no-route" drops. A non-null `links`
-/// (fault-injection and battery runs) swaps in the membership-aware
-/// DynamicRouting, reported back through `dyn_out` (required then) for
-/// rebuild accounting; `policy`/`cost` select its scoring (lifetime-aware
-/// runs).
-std::unique_ptr<net::Router> build_routes(
-    const net::ConnectivityGraph& graph, net::NodeId sink, bool all_pairs,
-    const char* radio_name, const net::LinkState* links,
-    const net::DynamicRouting** dyn_out,
-    net::RoutePolicy policy = net::RoutePolicy::kShortestPath,
-    net::NodeCostFn cost = nullptr) {
+/// Rejects placements where any node is cut off from the sink — a silent
+/// kInvalidNode route at runtime would just bleed packets as "no-route"
+/// drops.
+void require_connected(const net::ConnectivityGraph& graph, net::NodeId sink,
+                       const char* radio_name) {
   const std::vector<net::NodeId> stranded =
       net::unreachable_from(graph, sink);
   BCP_REQUIRE_MSG(stranded.empty(),
@@ -149,14 +143,12 @@ std::unique_ptr<net::Router> build_routes(
                       std::to_string(stranded.size()) +
                       " node(s) cannot reach sink " + std::to_string(sink) +
                       ": " + net::format_node_list(stranded));
-  if (links != nullptr) {
-    auto dyn = std::make_unique<net::DynamicRouting>(
-        graph, sink, *links, all_pairs, policy, std::move(cost));
-    *dyn_out = dyn.get();
-    return dyn;
-  }
-  if (all_pairs)
-    return std::make_unique<net::RoutingTable>(graph);
+}
+
+/// Static routes over one radio graph (runs without membership state).
+std::unique_ptr<net::Router> static_routes(const net::ConnectivityGraph& graph,
+                                           net::NodeId sink, bool all_pairs) {
+  if (all_pairs) return std::make_unique<net::RoutingTable>(graph);
   return std::make_unique<net::ConvergecastRouting>(graph, sink);
 }
 
@@ -350,15 +342,14 @@ struct ShardState {
   std::vector<std::unique_ptr<CbrWorkload>> workloads;
 
   // Membership-epoch state (engaged only for fault/battery runs). The
-  // replicas feed this shard's channel partitions and DynamicRouting;
+  // replica feeds both radio classes' channel partitions and routers;
   // the delta queue is written on the shard's pinned thread and drained
   // by the coordinator between phase barriers.
-  std::optional<net::LinkState> low_links;
-  std::optional<net::LinkState> high_links;
-  std::unique_ptr<net::Router> low_routes;
-  std::unique_ptr<net::Router> high_routes;
-  const net::DynamicRouting* low_dyn = nullptr;
-  const net::DynamicRouting* high_dyn = nullptr;
+  std::optional<net::LinkState> links;
+  /// One DynamicRouting per distinct radio graph: `high_dyn` stays null
+  /// when the classes share a graph, and both route through `low_dyn`.
+  std::unique_ptr<net::DynamicRouting> low_dyn;
+  std::unique_ptr<net::DynamicRouting> high_dyn;
   std::vector<std::unique_ptr<energy::Battery>> batteries;
   std::vector<PendingDelta> deltas;
   /// Stable callable targets for event captures (the vector of states is
@@ -538,8 +529,9 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
   // static membership one Router per class is shared too
   // (RoutingTable/ConvergecastRouting queries are const and
   // thread-safe); fault/battery runs instead build one DynamicRouting
-  // per shard in the setup phase, since its lazy rebuild cache mutates
-  // on query and must key off the shard's own replica revision.
+  // per shard per distinct graph in the setup phase, since its lazy
+  // rebuild cache mutates on query and must key off the shard's own
+  // replica revision.
   std::shared_ptr<const net::ConnectivityGraph> low_graph;
   std::shared_ptr<const net::ConnectivityGraph> high_graph;
   std::unique_ptr<net::Router> low_routes;
@@ -547,9 +539,8 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
   if (needs_low) {
     low_graph = std::make_shared<net::ConnectivityGraph>(
         topo.positions, config.sensor_radio.range);
-    if (!has_links)
-      low_routes = build_routes(*low_graph, sink, all_pairs, "sensor",
-                                nullptr, nullptr);
+    require_connected(*low_graph, sink, "sensor");
+    if (!has_links) low_routes = static_routes(*low_graph, sink, all_pairs);
   }
   if (needs_high) {
     // Equal ranges give identical disc graphs: build one and share it
@@ -558,9 +549,9 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
                      ? low_graph
                      : std::make_shared<net::ConnectivityGraph>(
                            topo.positions, wifi_range);
+    if (high_graph != low_graph) require_connected(*high_graph, sink, "wifi");
     if (!has_links)
-      high_routes = build_routes(*high_graph, sink, all_pairs, "wifi",
-                                 nullptr, nullptr);
+      high_routes = static_routes(*high_graph, sink, all_pairs);
   }
 
   // The fault plan is expanded once on the caller; each shard schedules
@@ -604,30 +595,24 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
   // runs as engine phases) happens before either is destroyed.
   std::vector<ShardState> states(static_cast<std::size_t>(shard_count));
 
-  // Coordinator-owned replicas receive the global delta sequence exactly
-  // once, in (time, shard, node) order — the membership ground truth the
-  // sink-partition checks run against. They stay dense (two O(n) byte
-  // arrays total); the per-shard replicas are stripe-local instead: dense
+  // The coordinator-owned replica receives the global delta sequence
+  // exactly once, in (time, shard, node) order — the membership ground
+  // truth the sink-partition checks run against. It stays dense (one O(n)
+  // byte array); the per-shard replicas are stripe-local instead: dense
   // over the owned stripe plus the halo of boundary neighbors the shard's
   // channels can name in a link_up query (union over both radio graphs),
   // sparse for everything else a broadcast delta mentions.
-  std::optional<net::LinkState> low_coord;
-  std::optional<net::LinkState> high_coord;
+  std::optional<net::LinkState> coord;
   if (has_links) {
     std::vector<const net::ConnectivityGraph*> radio_graphs;
     if (needs_low) radio_graphs.push_back(low_graph.get());
     if (needs_high && high_graph != low_graph)
       radio_graphs.push_back(high_graph.get());
     const auto halos = map.halos(radio_graphs);
-    for (int s = 0; s < shard_count; ++s) {
-      ShardState& st = states[static_cast<std::size_t>(s)];
-      // One shared domain per stripe across both radio-class replicas.
-      const auto domain = map.domain(s, halos[static_cast<std::size_t>(s)]);
-      if (needs_low) st.low_links.emplace(domain);
-      if (needs_high) st.high_links.emplace(domain);
-    }
-    if (needs_low) low_coord.emplace(n);
-    if (needs_high) high_coord.emplace(n);
+    for (int s = 0; s < shard_count; ++s)
+      states[static_cast<std::size_t>(s)].links.emplace(
+          map.domain(s, halos[static_cast<std::size_t>(s)]));
+    coord.emplace(n);
   }
 
   sim::ShardedSimulator::Params engine_params;
@@ -647,12 +632,12 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
                         channel_params(config, config.wifi_radio),
                         util::substream(config.seed, 2, 0x484348u));
   if (has_links) {
-    // Each partition hears through its own replica: exact for owned
+    // Each partition hears through its shard's replica: exact for owned
     // nodes, ≤ one window stale for remote ones.
     for (int s = 0; s < shard_count; ++s) {
-      ShardState& st = states[static_cast<std::size_t>(s)];
-      if (low_medium) low_medium->shard(s).set_link_state(&*st.low_links);
-      if (high_medium) high_medium->shard(s).set_link_state(&*st.high_links);
+      net::LinkState* links = &*states[static_cast<std::size_t>(s)].links;
+      if (low_medium) low_medium->shard(s).set_link_state(links);
+      if (high_medium) high_medium->shard(s).set_link_state(links);
     }
   }
   for (int s = 0; s < shard_count; ++s)
@@ -679,12 +664,8 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
                   return net::MembershipDelta::before(a.delta, b.delta);
                 });
       for (const PendingDelta& pd : batch) {
-        for (auto& st : states) {
-          if (st.low_links) st.low_links->apply(pd.delta);
-          if (st.high_links) st.high_links->apply(pd.delta);
-        }
-        if (low_coord) low_coord->apply(pd.delta);
-        if (high_coord) high_coord->apply(pd.delta);
+        for (auto& st : states) st.links->apply(pd.delta);
+        coord->apply(pd.delta);
         if (!pd.battery_death) continue;
         // Delivered counts are only current as of this barrier — the
         // "bits until" metrics are therefore late by < one window, the
@@ -696,9 +677,7 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
         if (partition_time < 0) {
           const net::ConnectivityGraph& graph =
               needs_low ? *low_graph : *high_graph;
-          const net::LinkState& links =
-              needs_low ? *low_coord : *high_coord;
-          if (!net::unreachable_alive(graph, sink, links).empty()) {
+          if (!net::unreachable_alive(graph, sink, *coord).empty()) {
             partition_time = pd.delta.time;
             partition_bits = delivered * config.packet_bits;
           }
@@ -721,10 +700,7 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
                     b->drawn() / b->capacity();
             }
           }
-          for (auto& st : states) {
-            if (st.low_links) st.low_links->touch();
-            if (st.high_links) st.high_links->touch();
-          }
+          for (auto& st : states) st.links->touch();
           next_reroute += config.battery.reroute_period;
         }
       }
@@ -754,19 +730,21 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
                    net::NodeId v) {
           return weight * battery_fraction[static_cast<std::size_t>(v)];
         };
-      if (needs_low)
-        st.low_routes = build_routes(*low_graph, sink, all_pairs, "sensor",
-                                     &*st.low_links, &st.low_dyn,
-                                     config.route_policy, cost);
-      if (needs_high)
-        st.high_routes = build_routes(*high_graph, sink, all_pairs, "wifi",
-                                      &*st.high_links, &st.high_dyn,
-                                      config.route_policy, cost);
+      // Equal ranges share one graph, the shard's one replica and the
+      // cost function, hence one tree: build it once for both classes.
+      const auto dynamic = [&](const net::ConnectivityGraph& graph) {
+        return std::make_unique<net::DynamicRouting>(
+            graph, sink, *st.links, all_pairs, config.route_policy, cost);
+      };
+      if (needs_low) st.low_dyn = dynamic(*low_graph);
+      if (needs_high && high_graph != low_graph)
+        st.high_dyn = dynamic(*high_graph);
     }
-    const net::Router* low_r = has_links ? st.low_routes.get()
-                                         : low_routes.get();
-    const net::Router* high_r = has_links ? st.high_routes.get()
-                                          : high_routes.get();
+    const net::Router* low_r =
+        has_links ? st.low_dyn.get() : low_routes.get();
+    const net::Router* high_r =
+        !has_links ? high_routes.get()
+                   : st.high_dyn ? st.high_dyn.get() : st.low_dyn.get();
     switch (config.model) {
       case EvalModel::kSensor: {
         const MacChoice choice = resolve_choice(
@@ -844,8 +822,7 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
         crash_node(st.fwd.empty() ? nullptr : st.fwd[l].get(),
                    st.dual.empty() ? nullptr : st.dual[l].get(),
                    st.duty.empty() ? nullptr : st.duty[l].get(), node,
-                   st.low_links ? &*st.low_links : nullptr,
-                   st.high_links ? &*st.high_links : nullptr);
+                   &*st.links);
         ++st.m.battery_deaths;
         if (st.m.battery_deaths == 1)
           st.m.time_to_first_death = sim->now();
@@ -909,8 +886,7 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
             crash_node(st.fwd.empty() ? nullptr : st.fwd[l].get(),
                        st.dual.empty() ? nullptr : st.dual[l].get(),
                        nullptr,  // duty nodes reject fault plans
-                       node, st.low_links ? &*st.low_links : nullptr,
-                       st.high_links ? &*st.high_links : nullptr);
+                       node, &*st.links);
             ++st.m.fault_node_crashes;
             queue(net::MembershipDelta::Kind::kNodeDown);
             break;
@@ -923,8 +899,7 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
               ++st.m.fault_recoveries_refused;
               break;
             }
-            if (st.low_links) st.low_links->set_node_up(node, true);
-            if (st.high_links) st.high_links->set_node_up(node, true);
+            st.links->set_node_up(node, true);
             if (!st.fwd.empty())
               st.fwd[l]->recover();
             else
@@ -934,17 +909,14 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
             break;
           }
           case sim::FaultKind::kLinkDown:
-            if (st.low_links) st.low_links->set_link_up(node, peer, false);
-            if (st.high_links)
-              st.high_links->set_link_up(node, peer, false);
+            st.links->set_link_up(node, peer, false);
             if (owns_node) {
               ++st.m.fault_link_downs;
               queue(net::MembershipDelta::Kind::kLinkDown);
             }
             break;
           case sim::FaultKind::kLinkUp:
-            if (st.low_links) st.low_links->set_link_up(node, peer, true);
-            if (st.high_links) st.high_links->set_link_up(node, peer, true);
+            st.links->set_link_up(node, peer, true);
             if (owns_node) {
               ++st.m.fault_link_ups;
               queue(net::MembershipDelta::Kind::kLinkUp);
@@ -1003,9 +975,8 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
                st.batteries.size() ==
                    static_cast<std::size_t>(map.owned_count(s)));
     st.m.events_processed = engine.shard(s).processed_count();
-    st.m.route_rebuilds =
-        (st.low_dyn != nullptr ? st.low_dyn->rebuild_count() : 0) +
-        (st.high_dyn != nullptr ? st.high_dyn->rebuild_count() : 0);
+    st.m.route_rebuilds = (st.low_dyn ? st.low_dyn->rebuild_count() : 0) +
+                          (st.high_dyn ? st.high_dyn->rebuild_count() : 0);
     for (const auto& w : st.workloads) st.m.generated += w->generated();
     if (low_medium) add_channel_stats(st.m, low_medium->shard(s));
     if (high_medium) add_channel_stats(st.m, high_medium->shard(s));

@@ -162,7 +162,8 @@ struct ScenarioConfig {
   /// a battery-dead node is a no-op (counted as fault_recoveries_refused).
   energy::BatterySpec battery;
 
-  /// Route scoring for both radios' DynamicRouting (see net::RoutePolicy).
+  /// Route scoring for the membership-aware routers (see
+  /// net::RoutePolicy).
   /// kLifetimeAware requires battery.enabled and bends convergecast
   /// routes around nearly-depleted relays, re-pricing them from a
   /// battery snapshot taken at the first window barrier at or past each
@@ -239,7 +240,8 @@ struct RunMetrics {
   std::int64_t fault_recoveries_refused = 0;
   std::int64_t fault_link_downs = 0;
   std::int64_t fault_link_ups = 0;
-  /// Routing rebuilds actually performed (both radios) — with the lazy
+  /// Routing builds performed, one router per distinct graph per shard
+  /// (radio classes with equal ranges share one) — with the lazy
   /// DynamicRouting this tracks membership changes, not queries.
   std::int64_t route_rebuilds = 0;
   std::int64_t bcp_packets_lost_to_crash = 0;

@@ -41,20 +41,26 @@ util::Joules Battery::drawn() const {
 
 void Battery::rearm() {
   if (depleted_) return;
-  sim_.cancel(death_event_);
   const util::Joules rem = remaining();
-  if (rem <= 0.0) {
-    // Already at (or, after an indivisible wake-up lump, past) the budget.
-    // Defer one event so the crash never runs inside Radio::set_state.
-    death_event_ = sim_.schedule_in(0.0, [this] { die(); });
-    return;
+  // Already at (or, after an indivisible wake-up lump, past) the budget:
+  // die now, deferred one event so the crash never runs inside
+  // Radio::set_state.
+  util::Seconds delay = 0.0;
+  if (rem > 0.0) {
+    util::Watts draw = 0.0;
+    for (int i = 0; i < meter_count_; ++i) {
+      draw += meters_[static_cast<std::size_t>(i)]->current_power();
+    }
+    if (draw <= 0.0) {  // dark/asleep at zero power: no depletion ahead
+      sim_.cancel(death_event_);
+      return;
+    }
+    delay = rem / draw;
   }
-  util::Watts draw = 0.0;
-  for (int i = 0; i < meter_count_; ++i) {
-    draw += meters_[static_cast<std::size_t>(i)]->current_power();
-  }
-  if (draw <= 0.0) return;  // dark/asleep at zero power: no depletion ahead
-  death_event_ = sim_.schedule_in(rem / draw, [this] { die(); });
+  // Move the pending death rather than cancel and recreate it: the same
+  // firing order, without recycling the event slot on every state change.
+  if (!sim_.reschedule_in(death_event_, delay))
+    death_event_ = sim_.schedule_in(delay, [this] { die(); });
 }
 
 void Battery::die() {

@@ -68,12 +68,13 @@ class Battery {
   /// Registers a meter to draw from this battery (at most two).
   void attach(const EnergyMeter* meter);
 
-  /// Recomputes the depletion event from the current draw: cancels any
-  /// pending death, then (a) if the budget is already spent, schedules
-  /// death *now* (deferred one event so death never runs inside a radio
-  /// state-change call stack); (b) if any attached meter draws power,
-  /// schedules death at the exactly-computed depletion instant; (c) if
-  /// the node draws nothing, leaves no event armed.
+  /// Recomputes the depletion event from the current draw: (a) if the
+  /// budget is already spent, arms death *now* (deferred one event so
+  /// death never runs inside a radio state-change call stack); (b) if any
+  /// attached meter draws power, arms death at the exactly-computed
+  /// depletion instant; (c) if the node draws nothing, leaves no event
+  /// armed. A pending death is moved (Simulator::reschedule_in), which
+  /// fires in the same order as cancelling and scheduling it anew.
   void rearm();
 
   util::Joules capacity() const { return capacity_; }

@@ -38,6 +38,33 @@ bool LinkState::node_up(NodeId node) const {
   return node_up_[static_cast<std::size_t>(node)] != 0;
 }
 
+void LinkState::up_mask(std::vector<std::uint8_t>& mask) const {
+  if (domain_ == nullptr) {
+    // Dense layout: node_up_ already holds kMaskUp (1) or 0 per node.
+    mask.assign(node_up_.begin(), node_up_.end());
+  } else {
+    mask.assign(static_cast<std::size_t>(node_count_), kMaskUp);
+    if (down_nodes_ > 0) {
+      const StripeDomain& d = *domain_;
+      for (NodeId v = 0; v < node_count_; ++v) {
+        const auto i = static_cast<std::size_t>(v);
+        if (d.shard_of[i] == d.shard &&
+            node_up_[static_cast<std::size_t>(d.local_of[i])] == 0)
+          mask[i] = 0;
+      }
+      for (const auto& [node, slot] : d.halo_slot)
+        if (node_up_[static_cast<std::size_t>(slot)] == 0)
+          mask[static_cast<std::size_t>(node)] = 0;
+      for (const NodeId node : down_remote_)
+        mask[static_cast<std::size_t>(node)] = 0;
+    }
+  }
+  for (const std::uint64_t k : down_links_) {
+    mask[static_cast<std::size_t>(k & 0xFFFFFFFFu)] |= kMaskPairDown;
+    mask[static_cast<std::size_t>(k >> 32)] |= kMaskPairDown;
+  }
+}
+
 void LinkState::set_node_up(NodeId node, bool up) {
   BCP_REQUIRE(node >= 0 && node < node_count());
   if (domain_ != nullptr) {

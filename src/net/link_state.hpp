@@ -2,8 +2,10 @@
 //
 // The fault/churn subsystem flips nodes and links up and down at run time;
 // everything that consumed the static ConnectivityGraph — the Channel's
-// hearer loop, the routers' BFS — consults one shared LinkState per radio
-// class instead of mutating the graph. Two design points:
+// hearer loop, the routers' BFS — consults a LinkState instead of mutating
+// the graph. Membership is a property of the node, not of a radio, so a
+// scenario keeps one replica per shard that both radio classes' channel
+// partitions and routers read. Three design points:
 //
 //   * The hot path stays free: `link_up` answers through an all-up fast
 //     path (one branch) while nothing is down, which is every frame of a
@@ -12,13 +14,15 @@
 //     (expensive) tree/table build behind the counter (net::DynamicRouting)
 //     so the convergecast tree is rebuilt only on membership change, not
 //     per query and not per fault event that changed nothing.
+//   * Bulk readers take one dense snapshot (`up_mask`) per build instead
+//     of a `node_up` lookup per edge endpoint.
 //
 // A link is up iff both endpoints are up and the (unordered) pair has not
 // been taken down explicitly. Setting a state it already has is a no-op
 // and does not bump the revision.
 //
 // Memory model: the dense constructor keeps one dense byte per node —
-// right for a lone Channel and for the coordinator replicas. A scenario
+// right for a lone Channel and for the coordinator's replica. A scenario
 // partition instead constructs its replica over a StripeDomain:
 // dense bytes only for the stripe it owns plus the halo of boundary
 // neighbors it must hear (the ids its channel partition ever asks about),
@@ -75,7 +79,7 @@ struct MembershipDelta {
 /// [owned, owned + halo) are the halo — remote nodes adjacent to an owned
 /// node in some radio graph, i.e. every id the partition's channels can
 /// name in a membership query. Built once per shard (phy::ShardMap::
-/// domain) and shared by that shard's replicas across radio classes.
+/// domain) for that shard's replica.
 struct StripeDomain {
   int node_count = 0;      ///< global population (bounds checks)
   std::int32_t shard = 0;  ///< which stripe this domain describes
@@ -103,7 +107,7 @@ struct StripeDomain {
 class LinkState {
  public:
   /// Dense over every node — a lone Channel's shared state and the
-  /// scenario coordinator's ground-truth replicas.
+  /// scenario coordinator's ground-truth replica.
   explicit LinkState(int node_count);
 
   /// Stripe-local replica: dense over `domain` (owned stripe + halo),
@@ -122,11 +126,29 @@ class LinkState {
   bool link_up(NodeId a, NodeId b) const {
     if (all_up()) return true;
     return node_up(a) && node_up(b) &&
-           down_links_.find(key(a, b)) == down_links_.end();
+           !pair_down(a, b);
   }
 
   void set_node_up(NodeId node, bool up);
   void set_link_up(NodeId a, NodeId b, bool up);
+
+  /// Bits of a dense membership snapshot (see up_mask).
+  static constexpr std::uint8_t kMaskUp = 1;
+  static constexpr std::uint8_t kMaskPairDown = 2;
+
+  /// Dense snapshot for bulk readers (route builds): resizes `mask` to
+  /// node_count() and sets, per node, kMaskUp iff node_up and
+  /// kMaskPairDown iff the node ends an explicitly downed pair. Edge
+  /// (a, b) is then up iff both ends carry kMaskUp and, when both also
+  /// carry kMaskPairDown, !pair_down(a, b) — so a reader asks the pair set
+  /// only about flagged endpoints. O(n + halo + down), no per-node hashing.
+  void up_mask(std::vector<std::uint8_t>& mask) const;
+
+  /// True iff the unordered pair was taken down explicitly (set_link_up),
+  /// whatever its endpoints' state.
+  bool pair_down(NodeId a, NodeId b) const {
+    return down_links_.find(key(a, b)) != down_links_.end();
+  }
 
   /// Replays one membership delta onto this replica (no-op, and no
   /// revision bump, if the state already matches — see MembershipDelta).

@@ -1,9 +1,8 @@
 #include "net/routing.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -20,20 +19,47 @@ const char* to_string(RoutePolicy p) {
 
 namespace {
 
-/// BFS hop counts from `root` over the graph (-1 where unreachable). A
-/// non-null `links` hides down nodes and down links from the traversal.
-std::vector<int> bfs_distances(const ConnectivityGraph& graph, NodeId root,
-                               const LinkState* links) {
-  std::vector<int> dist(static_cast<std::size_t>(graph.node_count()), -1);
-  if (links != nullptr && !links->node_up(root)) return dist;
-  std::deque<NodeId> queue;
+/// Edge availability over one LinkState::up_mask snapshot; a null mask
+/// (no LinkState, or nothing down) sees the whole graph.
+struct EdgeMask {
+  const std::uint8_t* mask = nullptr;
+  const LinkState* links = nullptr;
+
+  /// Snapshots `links` into `buf` unless it is null or all up.
+  EdgeMask(const LinkState* links_in, std::vector<std::uint8_t>& buf) {
+    if (links_in == nullptr || links_in->all_up()) return;
+    links_in->up_mask(buf);
+    mask = buf.data();
+    links = links_in;
+  }
+
+  bool node_up(NodeId v) const {
+    return mask == nullptr ||
+           (mask[static_cast<std::size_t>(v)] & LinkState::kMaskUp) != 0;
+  }
+  bool edge_up(NodeId a, NodeId b) const {
+    if (mask == nullptr) return true;
+    const std::uint8_t both = static_cast<std::uint8_t>(
+        mask[static_cast<std::size_t>(a)] & mask[static_cast<std::size_t>(b)]);
+    if ((both & LinkState::kMaskUp) == 0) return false;
+    return (both & LinkState::kMaskPairDown) == 0 || !links->pair_down(a, b);
+  }
+};
+
+/// BFS hop counts from `root` into `dist` (-1 where unreachable), hiding
+/// down nodes and links. `queue` is a reusable work list.
+void bfs_distances(const ConnectivityGraph& graph, NodeId root,
+                   const EdgeMask& up, std::vector<int>& dist,
+                   std::vector<NodeId>& queue) {
+  dist.assign(static_cast<std::size_t>(graph.node_count()), -1);
+  if (!up.node_up(root)) return;
+  queue.clear();
   dist[static_cast<std::size_t>(root)] = 0;
   queue.push_back(root);
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
     for (const NodeId v : graph.neighbors(u)) {
-      if (links != nullptr && !links->link_up(u, v)) continue;
+      if (!up.edge_up(u, v)) continue;
       if (dist[static_cast<std::size_t>(v)] < 0) {
         dist[static_cast<std::size_t>(v)] =
             dist[static_cast<std::size_t>(u)] + 1;
@@ -41,22 +67,31 @@ std::vector<int> bfs_distances(const ConnectivityGraph& graph, NodeId root,
       }
     }
   }
-  return dist;
+}
+
+/// Geometric distance from every node to `to` into `out` — the parent
+/// tie-break, computed once per node instead of once per edge.
+void distances_to(const ConnectivityGraph& graph, NodeId to,
+                  std::vector<double>& out) {
+  out.resize(static_cast<std::size_t>(graph.node_count()));
+  const Position& target = graph.position(to);
+  for (NodeId v = 0; v < graph.node_count(); ++v)
+    out[static_cast<std::size_t>(v)] = distance(graph.position(v), target);
 }
 
 /// The deterministic parent choice both providers share: among `from`'s
-/// neighbours one hop closer to `to`, the one geometrically closest to
-/// `to`, then the lowest id.
-NodeId best_parent(const ConnectivityGraph& graph,
-                   const std::vector<int>& dist, NodeId from, NodeId to,
-                   const LinkState* links) {
+/// neighbours one hop closer (per `dist`), the one geometrically closest
+/// to the destination (`to_dist`), then the lowest id.
+NodeId best_parent(const ConnectivityGraph& graph, const std::vector<int>& dist,
+                   const std::vector<double>& to_dist, NodeId from,
+                   const EdgeMask& up) {
   const int d = dist[static_cast<std::size_t>(from)];
   NodeId best = kInvalidNode;
   double best_dist = std::numeric_limits<double>::infinity();
   for (const NodeId v : graph.neighbors(from)) {
     if (dist[static_cast<std::size_t>(v)] != d - 1) continue;
-    if (links != nullptr && !links->link_up(from, v)) continue;
-    const double dv = distance(graph.position(v), graph.position(to));
+    if (!up.edge_up(from, v)) continue;
+    const double dv = to_dist[static_cast<std::size_t>(v)];
     if (best == kInvalidNode || dv < best_dist ||
         (dv == best_dist && v < best)) {
       best = v;
@@ -66,61 +101,59 @@ NodeId best_parent(const ConnectivityGraph& graph,
   return best;
 }
 
-/// Weight of the hop from anywhere into `v` on the way toward `root`:
-/// one hop plus the relay cost of `v` (entering the root is mandatory and
-/// costs only the hop).
-double step_cost(NodeId v, NodeId root, const NodeCostFn& cost) {
-  return 1.0 + (v == root ? 0.0 : cost(v));
-}
+using HeapEntry = std::pair<double, NodeId>;  // (cost, node), min-heap
 
-/// Dijkstra from `root` over edge weights step_cost(next_hop): dist[u] is
-/// the cheapest cost of a path u -> root (infinity where unreachable).
-/// Deterministic: the heap breaks equal-cost pops by lower node id, and
-/// the parent choice below re-applies the geometric/id preference.
-std::vector<double> weighted_distances(const ConnectivityGraph& graph,
-                                       NodeId root, const LinkState* links,
-                                       const NodeCostFn& cost) {
-  const double inf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(static_cast<std::size_t>(graph.node_count()), inf);
-  if (links != nullptr && !links->node_up(root)) return dist;
-  using Entry = std::pair<double, NodeId>;  // (cost, node), min-heap
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
+/// Dijkstra from `root` over edge weights step[next_hop] (the hop into v
+/// weighs 1 + cost(v); into the root just 1): dist[u] is the cheapest cost
+/// of a path u -> root (infinity where unreachable). Deterministic: the
+/// heap breaks equal-cost pops by lower node id, and the parent choice
+/// below re-applies the geometric/id preference.
+void weighted_distances(const ConnectivityGraph& graph, NodeId root,
+                        const EdgeMask& up, const std::vector<double>& step,
+                        std::vector<double>& dist,
+                        std::vector<HeapEntry>& heap) {
+  dist.assign(static_cast<std::size_t>(graph.node_count()),
+              std::numeric_limits<double>::infinity());
+  if (!up.node_up(root)) return;
+  const std::greater<HeapEntry> later;
+  heap.clear();
   dist[static_cast<std::size_t>(root)] = 0.0;
-  heap.emplace(0.0, root);
+  heap.emplace_back(0.0, root);
   while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const auto [d, u] = heap.back();
+    heap.pop_back();
     if (d > dist[static_cast<std::size_t>(u)]) continue;  // stale entry
     // Every neighbour reaching the root through u pays the same step.
-    const double step = step_cost(u, root, cost);
+    const double cand = d + step[static_cast<std::size_t>(u)];
     for (const NodeId v : graph.neighbors(u)) {
-      if (links != nullptr && !links->link_up(u, v)) continue;
-      const double cand = d + step;
+      if (!up.edge_up(u, v)) continue;
       if (cand < dist[static_cast<std::size_t>(v)]) {
         dist[static_cast<std::size_t>(v)] = cand;
-        heap.emplace(cand, v);
+        heap.emplace_back(cand, v);
+        std::push_heap(heap.begin(), heap.end(), later);
       }
     }
   }
-  return dist;
 }
 
 /// best_parent's weighted twin: among `from`'s neighbours on a cheapest
-/// path toward `root` (within a fixed tolerance, so float noise cannot
-/// flip the choice), geometrically closest to `root`, then lowest id.
+/// path toward the root (within a fixed tolerance, so float noise cannot
+/// flip the choice), geometrically closest to the root, then lowest id.
 NodeId best_parent_weighted(const ConnectivityGraph& graph,
-                            const std::vector<double>& dist, NodeId from,
-                            NodeId root, const LinkState* links,
-                            const NodeCostFn& cost) {
+                            const std::vector<double>& dist,
+                            const std::vector<double>& step,
+                            const std::vector<double>& root_dist, NodeId from,
+                            const EdgeMask& up) {
   const double d = dist[static_cast<std::size_t>(from)];
   NodeId best = kInvalidNode;
   double best_dist = std::numeric_limits<double>::infinity();
   for (const NodeId v : graph.neighbors(from)) {
-    if (links != nullptr && !links->link_up(from, v)) continue;
+    if (!up.edge_up(from, v)) continue;
     const double via =
-        dist[static_cast<std::size_t>(v)] + step_cost(v, root, cost);
+        dist[static_cast<std::size_t>(v)] + step[static_cast<std::size_t>(v)];
     if (via > d + 1e-9) continue;  // not on a cheapest path
-    const double dv = distance(graph.position(v), graph.position(root));
+    const double dv = root_dist[static_cast<std::size_t>(v)];
     if (best == kInvalidNode || dv < best_dist ||
         (dv == best_dist && v < best)) {
       best = v;
@@ -135,10 +168,14 @@ NodeId best_parent_weighted(const ConnectivityGraph& graph,
 std::vector<NodeId> unreachable_alive(const ConnectivityGraph& graph,
                                       NodeId root, const LinkState& links) {
   BCP_REQUIRE(root >= 0 && root < graph.node_count());
-  const std::vector<int> dist = bfs_distances(graph, root, &links);
+  std::vector<std::uint8_t> mask;
+  const EdgeMask up(&links, mask);
+  std::vector<int> dist;
+  std::vector<NodeId> queue;
+  bfs_distances(graph, root, up, dist, queue);
   std::vector<NodeId> out;
   for (NodeId v = 0; v < graph.node_count(); ++v) {
-    if (v != root && links.node_up(v) && dist[static_cast<std::size_t>(v)] < 0)
+    if (v != root && up.node_up(v) && dist[static_cast<std::size_t>(v)] < 0)
       out.push_back(v);
   }
   return out;
@@ -152,21 +189,33 @@ RoutingTable::RoutingTable(const ConnectivityGraph& graph,
       next_hop_(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_),
                 kInvalidNode),
       hops_(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_), -1) {
+  rebuild(graph, links);
+}
+
+void RoutingTable::rebuild(const ConnectivityGraph& graph,
+                           const LinkState* links) {
+  BCP_REQUIRE(graph.node_count() == n_);
+  const EdgeMask up(links, mask_);
   // One BFS per destination, relaxing parents with the deterministic
   // (hops, distance-to-destination, id) preference order.
   for (NodeId to = 0; to < n_; ++to) {
-    const std::vector<int> dist = bfs_distances(graph, to, links);
+    bfs_distances(graph, to, up, dist_, queue_);
+    distances_to(graph, to, to_dist_);
     for (NodeId from = 0; from < n_; ++from) {
-      const int d = dist[static_cast<std::size_t>(from)];
-      hops_[static_cast<std::size_t>(index(from, to))] = d;
+      const auto i = static_cast<std::size_t>(index(from, to));
+      const int d = dist_[static_cast<std::size_t>(from)];
+      hops_[i] = d;
       if (from == to) {
-        next_hop_[static_cast<std::size_t>(index(from, to))] = from;
+        next_hop_[i] = from;
         continue;
       }
-      if (d < 0) continue;  // unreachable
-      const NodeId best = best_parent(graph, dist, from, to, links);
+      if (d < 0) {  // unreachable
+        next_hop_[i] = kInvalidNode;
+        continue;
+      }
+      const NodeId best = best_parent(graph, dist_, to_dist_, from, up);
       BCP_ENSURE(best != kInvalidNode);
-      next_hop_[static_cast<std::size_t>(index(from, to))] = best;
+      next_hop_[i] = best;
     }
   }
 }
@@ -207,98 +256,106 @@ ConvergecastRouting::ConvergecastRouting(const ConnectivityGraph& graph,
                                          const NodeCostFn& cost)
     : sink_(sink) {
   BCP_REQUIRE(sink >= 0 && sink < graph.node_count());
+  parent_.resize(static_cast<std::size_t>(graph.node_count()));
+  rebuild(graph, links, cost);
+}
+
+void ConvergecastRouting::rebuild(const ConnectivityGraph& graph,
+                                  const LinkState* links,
+                                  const NodeCostFn& cost) {
   const int n = graph.node_count();
-  parent_.assign(static_cast<std::size_t>(n), kInvalidNode);
+  BCP_REQUIRE(n == node_count());
+  const NodeId sink = sink_;
+  const EdgeMask up(links, mask_);
+  distances_to(graph, sink, sink_dist_);
+  std::fill(parent_.begin(), parent_.end(), kInvalidNode);
   parent_[static_cast<std::size_t>(sink)] = sink;
   if (cost == nullptr) {
-    depth_ = bfs_distances(graph, sink, links);
+    bfs_distances(graph, sink, up, depth_, queue_);
     for (NodeId from = 0; from < n; ++from) {
       if (from == sink || depth_[static_cast<std::size_t>(from)] < 0)
         continue;
-      const NodeId best = best_parent(graph, depth_, from, sink, links);
+      const NodeId best = best_parent(graph, depth_, sink_dist_, from, up);
       BCP_ENSURE(best != kInvalidNode);
       parent_[static_cast<std::size_t>(from)] = best;
     }
   } else {
-    // Lifetime-aware tree: cheapest-cost parents, hop-count depths along
-    // the chosen tree (depth_ stays a frame/slot currency for TDMA and
-    // the mean-depth statistic even when the tree is weighted).
-    const std::vector<double> wdist =
-        weighted_distances(graph, sink, links, cost);
+    // Lifetime-aware tree: cheapest-cost parents; the hop-count depths
+    // along the chosen tree (depth_ stays a frame/slot currency for TDMA
+    // and the mean-depth statistic even when the tree is weighted) are
+    // filled by the Euler DFS below. The step into v costs 1 + cost(v),
+    // into the sink just 1 (delivery into it is mandatory).
+    step_.resize(static_cast<std::size_t>(n));
+    for (NodeId v = 0; v < n; ++v)
+      step_[static_cast<std::size_t>(v)] = 1.0 + (v == sink ? 0.0 : cost(v));
+    weighted_distances(graph, sink, up, step_, wdist_, heap_);
     for (NodeId from = 0; from < n; ++from) {
       if (from == sink ||
-          wdist[static_cast<std::size_t>(from)] ==
+          wdist_[static_cast<std::size_t>(from)] ==
               std::numeric_limits<double>::infinity())
         continue;
       const NodeId best =
-          best_parent_weighted(graph, wdist, from, sink, links, cost);
+          best_parent_weighted(graph, wdist_, step_, sink_dist_, from, up);
       BCP_ENSURE(best != kInvalidNode);
       parent_[static_cast<std::size_t>(from)] = best;
     }
-    // A parent is always strictly cheaper (every step weighs >= 1), so
-    // filling depths in ascending cost order sees each parent first.
     depth_.assign(static_cast<std::size_t>(n), -1);
     depth_[static_cast<std::size_t>(sink)] = 0;
-    std::vector<NodeId> order;
-    order.reserve(static_cast<std::size_t>(n));
-    for (NodeId v = 0; v < n; ++v)
-      if (v != sink && parent_[static_cast<std::size_t>(v)] != kInvalidNode)
-        order.push_back(v);
-    std::sort(order.begin(), order.end(), [&wdist](NodeId a, NodeId b) {
-      const double da = wdist[static_cast<std::size_t>(a)];
-      const double db = wdist[static_cast<std::size_t>(b)];
-      return da < db || (da == db && a < b);
-    });
-    for (const NodeId v : order) {
-      const NodeId p = parent_[static_cast<std::size_t>(v)];
-      BCP_ENSURE(depth_[static_cast<std::size_t>(p)] >= 0);
-      depth_[static_cast<std::size_t>(v)] =
-          depth_[static_cast<std::size_t>(p)] + 1;
-    }
   }
 
   // Group children by parent (CSR layout; ascending node order keeps each
   // group id-sorted, and the DFS below then visits them in that order, so
   // a group is also tin-sorted — the binary search in child_toward relies
-  // on both).
-  std::vector<int> counts(static_cast<std::size_t>(n) + 1, 0);
-  for (NodeId v = 0; v < n; ++v)
-    if (v != sink && parent_[static_cast<std::size_t>(v)] != kInvalidNode)
-      ++counts[static_cast<std::size_t>(
-          parent_[static_cast<std::size_t>(v)])];
+  // on both). Counts land one slot right, the prefix sum turns them into
+  // group starts, placing advances each start to its group's end, and the
+  // final shift restores the starts.
   children_begin_.assign(static_cast<std::size_t>(n) + 1, 0);
+  int placed = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    const NodeId p = parent_[static_cast<std::size_t>(v)];
+    if (v != sink && p != kInvalidNode) {
+      ++children_begin_[static_cast<std::size_t>(p) + 1];
+      ++placed;
+    }
+  }
   for (int i = 0; i < n; ++i)
-    children_begin_[static_cast<std::size_t>(i) + 1] =
-        children_begin_[static_cast<std::size_t>(i)] +
-        counts[static_cast<std::size_t>(i)];
-  children_.resize(
-      static_cast<std::size_t>(children_begin_[static_cast<std::size_t>(n)]),
-      kInvalidNode);
-  std::vector<int> fill(children_begin_.begin(), children_begin_.end() - 1);
-  for (NodeId v = 0; v < n; ++v)
-    if (v != sink && parent_[static_cast<std::size_t>(v)] != kInvalidNode)
-      children_[static_cast<std::size_t>(fill[static_cast<std::size_t>(
-          parent_[static_cast<std::size_t>(v)])]++)] = v;
+    children_begin_[static_cast<std::size_t>(i) + 1] +=
+        children_begin_[static_cast<std::size_t>(i)];
+  children_.resize(static_cast<std::size_t>(placed));
+  for (NodeId v = 0; v < n; ++v) {
+    const NodeId p = parent_[static_cast<std::size_t>(v)];
+    if (v != sink && p != kInvalidNode)
+      children_[static_cast<std::size_t>(
+          children_begin_[static_cast<std::size_t>(p)]++)] = v;
+  }
+  for (int i = n; i > 0; --i)
+    children_begin_[static_cast<std::size_t>(i)] =
+        children_begin_[static_cast<std::size_t>(i) - 1];
+  children_begin_[0] = 0;
 
-  // Iterative DFS from the sink for the Euler-tour brackets.
+  // Iterative DFS from the sink for the Euler-tour brackets; every tree
+  // node is entered from its parent, so its depth is the parent's + 1.
   tin_.assign(static_cast<std::size_t>(n), -1);
   tout_.assign(static_cast<std::size_t>(n), -1);
   int clock = 0;
   // Stack of (node, next-child offset).
-  std::vector<std::pair<NodeId, int>> stack;
-  stack.emplace_back(sink, children_begin_[static_cast<std::size_t>(sink)]);
+  stack_.clear();
+  stack_.emplace_back(sink, children_begin_[static_cast<std::size_t>(sink)]);
   tin_[static_cast<std::size_t>(sink)] = clock++;
-  while (!stack.empty()) {
-    auto& [u, next] = stack.back();
+  while (!stack_.empty()) {
+    auto& [u, next] = stack_.back();
     if (next < children_begin_[static_cast<std::size_t>(u) + 1]) {
       const NodeId c = children_[static_cast<std::size_t>(next++)];
       tin_[static_cast<std::size_t>(c)] = clock++;
-      stack.emplace_back(c, children_begin_[static_cast<std::size_t>(c)]);
+      depth_[static_cast<std::size_t>(c)] =
+          depth_[static_cast<std::size_t>(u)] + 1;
+      stack_.emplace_back(c, children_begin_[static_cast<std::size_t>(c)]);
     } else {
       tout_[static_cast<std::size_t>(u)] = clock++;
-      stack.pop_back();
+      stack_.pop_back();
     }
   }
+  BCP_ENSURE(clock == 2 * (placed + 1));  // every parented node was reached
 }
 
 bool ConvergecastRouting::in_subtree(NodeId root, NodeId node) const {
@@ -407,28 +464,39 @@ DynamicRouting::DynamicRouting(const ConnectivityGraph& graph, NodeId sink,
     : graph_(graph),
       sink_(sink),
       links_(links),
-      all_pairs_(all_pairs),
-      policy_(policy),
-      cost_(std::move(cost)) {
+      use_table_(all_pairs && policy != RoutePolicy::kLifetimeAware),
+      cost_(policy == RoutePolicy::kLifetimeAware ? std::move(cost)
+                                                  : nullptr) {
   BCP_REQUIRE(sink >= 0 && sink < graph.node_count());
   BCP_REQUIRE(links.node_count() == graph.node_count());
-  BCP_REQUIRE_MSG(policy_ != RoutePolicy::kLifetimeAware || cost_ != nullptr,
+  BCP_REQUIRE_MSG(policy != RoutePolicy::kLifetimeAware || cost_ != nullptr,
                   "lifetime-aware routing needs a node cost function");
 }
 
 const Router& DynamicRouting::current() const {
-  if (impl_ == nullptr || built_revision_ != links_.revision()) {
-    if (policy_ == RoutePolicy::kLifetimeAware)
-      impl_ = std::make_unique<ConvergecastRouting>(graph_, sink_, &links_,
-                                                    cost_);
-    else if (all_pairs_)
-      impl_ = std::make_unique<RoutingTable>(graph_, &links_);
-    else
-      impl_ = std::make_unique<ConvergecastRouting>(graph_, sink_, &links_);
+  if (rebuilds_ == 0 || built_revision_ != links_.revision()) {
+    if (use_table_) {
+      if (table_)
+        table_->rebuild(graph_, &links_);
+      else
+        table_.emplace(graph_, &links_);
+    } else {
+      if (tree_)
+        tree_->rebuild(graph_, &links_, cost_);
+      else
+        tree_.emplace(graph_, sink_, &links_, cost_);
+    }
     built_revision_ = links_.revision();
     ++rebuilds_;
   }
-  return *impl_;
+  if (use_table_) return *table_;
+  return *tree_;
+}
+
+const ConvergecastRouting& DynamicRouting::tree() const {
+  BCP_REQUIRE_MSG(!use_table_, "all-pairs DynamicRouting has no tree");
+  current();
+  return *tree_;
 }
 
 }  // namespace bcp::net

@@ -21,7 +21,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "net/link_state.hpp"
@@ -83,6 +84,10 @@ class RoutingTable final : public Router {
   explicit RoutingTable(const ConnectivityGraph& graph,
                         const LinkState* links = nullptr);
 
+  /// Recomputes the tables in place over `graph` (same node count) and the
+  /// current `links`, reusing every buffer — DynamicRouting's rebuild.
+  void rebuild(const ConnectivityGraph& graph, const LinkState* links);
+
   NodeId next_hop(NodeId from, NodeId to) const override;
   int hops(NodeId from, NodeId to) const override;
   int node_count() const override { return n_; }
@@ -97,6 +102,11 @@ class RoutingTable final : public Router {
   int n_;
   std::vector<NodeId> next_hop_;  // n*n, row = from, col = to
   std::vector<int> hops_;         // n*n
+  // Build scratch, kept so a rebuild allocates nothing.
+  std::vector<std::uint8_t> mask_;
+  std::vector<int> dist_;
+  std::vector<double> to_dist_;
+  std::vector<NodeId> queue_;
 };
 
 /// Sink-rooted shortest-path tree: one BFS from the sink, parent and
@@ -118,6 +128,12 @@ class ConvergecastRouting final : public Router {
   ConvergecastRouting(const ConnectivityGraph& graph, NodeId sink,
                       const LinkState* links = nullptr,
                       const NodeCostFn& cost = nullptr);
+
+  /// Rebuilds the tree in place over `graph` (same node count, same sink)
+  /// and the current `links`/`cost`, exactly as a fresh construction
+  /// would, reusing every buffer: a warm rebuild allocates nothing.
+  void rebuild(const ConnectivityGraph& graph, const LinkState* links,
+               const NodeCostFn& cost);
 
   NodeId sink() const { return sink_; }
 
@@ -156,6 +172,17 @@ class ConvergecastRouting final : public Router {
   std::vector<int> tout_;
   std::vector<NodeId> children_;       // all children, grouped by parent
   std::vector<int> children_begin_;    // n+1 offsets into children_
+  // Build scratch, kept so a rebuild allocates nothing: the membership
+  // snapshot, per-node geometric distance to the sink and step cost
+  // 1 + cost(v), the weighted distances, and the BFS/Dijkstra/DFS work
+  // lists.
+  std::vector<std::uint8_t> mask_;
+  std::vector<double> sink_dist_;
+  std::vector<double> step_;
+  std::vector<double> wdist_;
+  std::vector<std::pair<double, NodeId>> heap_;
+  std::vector<NodeId> queue_;
+  std::vector<std::pair<NodeId, int>> stack_;
 };
 
 /// Fault-aware router: rebuilds an underlying strategy (convergecast tree
@@ -163,7 +190,11 @@ class ConvergecastRouting final : public Router {
 /// LinkState's revision actually moved — the incremental-invalidation hook
 /// the fault/churn scenarios route through. Queries between membership
 /// changes are as cheap as the static providers; a crash/recover burst
-/// that flips k nodes costs one rebuild at the next query, not k.
+/// that flips k nodes costs one rebuild at the next query, not k. The
+/// router owns its tree (or tables) and rebuilds it in place, so a warm
+/// rebuild allocates nothing. A scenario keeps one per shard per distinct
+/// radio graph: radio classes with equal ranges share the graph, the
+/// shard's one membership replica and the cost function, hence one tree.
 class DynamicRouting final : public Router {
  public:
   /// `graph` and `links` must outlive the router. `all_pairs` picks the
@@ -171,7 +202,7 @@ class DynamicRouting final : public Router {
   /// kLifetimeAware requires a non-null `cost` and always builds the
   /// cost-weighted convergecast tree (all_pairs is ignored): lifetime
   /// objectives are sink-centric, and the dense tables have no weighted
-  /// form.
+  /// form. Under kShortestPath `cost` is ignored.
   DynamicRouting(const ConnectivityGraph& graph, NodeId sink,
                  const LinkState& links, bool all_pairs,
                  RoutePolicy policy = RoutePolicy::kShortestPath,
@@ -185,6 +216,10 @@ class DynamicRouting final : public Router {
   }
   int node_count() const override { return graph_.node_count(); }
 
+  /// The current convergecast tree (rebuilt first if membership moved).
+  /// Requires the tree strategy (not all-pairs tables).
+  const ConvergecastRouting& tree() const;
+
   /// Underlying builds performed so far (1 after the first query; +1 per
   /// effective LinkState change that a later query observed).
   std::int64_t rebuild_count() const { return rebuilds_; }
@@ -195,11 +230,11 @@ class DynamicRouting final : public Router {
   const ConnectivityGraph& graph_;
   NodeId sink_;
   const LinkState& links_;
-  bool all_pairs_;
-  RoutePolicy policy_;
-  NodeCostFn cost_;
+  bool use_table_;
+  NodeCostFn cost_;  ///< null unless kLifetimeAware
   // Lazy cache: queries are logically const; the rebuild is bookkeeping.
-  mutable std::unique_ptr<Router> impl_;
+  mutable std::optional<ConvergecastRouting> tree_;
+  mutable std::optional<RoutingTable> table_;
   mutable std::uint64_t built_revision_ = 0;
   mutable std::int64_t rebuilds_ = 0;
 };

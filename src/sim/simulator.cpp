@@ -36,17 +36,21 @@ void Simulator::sift_down(std::size_t i) {
   place(e, i);
 }
 
+void Simulator::replace_heap_entry(std::size_t i, const HeapEntry& e) {
+  const bool goes_up = earlier(e, heap_[i]);
+  place(e, i);
+  if (goes_up)
+    sift_up(i);
+  else
+    sift_down(i);
+}
+
 void Simulator::remove_heap_entry(std::size_t i) {
   const std::size_t last = heap_.size() - 1;
   if (i != last) {
     const HeapEntry moved = heap_[last];
     heap_.pop_back();
-    const bool goes_up = earlier(moved, heap_[i]);
-    place(moved, i);
-    if (goes_up)
-      sift_up(i);
-    else
-      sift_down(i);
+    replace_heap_entry(i, moved);
   } else {
     heap_.pop_back();
   }
@@ -101,6 +105,15 @@ bool Simulator::cancel(EventHandle h) {
   s.cb.reset();  // release captured state now, not at slot reuse
   release_slot(slot);
   remove_heap_entry(pos);
+  return true;
+}
+
+bool Simulator::reschedule_in(EventHandle h, util::Seconds delay) {
+  BCP_REQUIRE_MSG(delay >= 0.0, "negative delay");
+  if (!is_pending(h)) return false;
+  const std::uint32_t slot = slot_of(h.id);
+  replace_heap_entry(slots_[slot].pos,
+                     HeapEntry{now_ + delay, next_seq_++, slot});
   return true;
 }
 

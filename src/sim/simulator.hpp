@@ -20,8 +20,9 @@
 //     stays put in its slot while entries sift, so reordering moves no
 //     capture state.
 // After warm-up (heap and slot vectors at their high-water capacity) a
-// schedule/cancel/dispatch cycle performs zero allocations — see
-// bench_micro_core's schedule/cancel benchmark and tests/perf_alloc_test.
+// schedule/cancel/reschedule/dispatch cycle performs zero allocations —
+// see bench_micro_core's schedule/cancel and reschedule benchmarks and
+// tests/perf_alloc_test.
 //
 // The whole library is single-threaded by design (Core Guidelines CP.1 —
 // assume your code will run in a multi-threaded program only where you say
@@ -67,6 +68,14 @@ class Simulator {
   /// Returns true if it was pending (and is now guaranteed not to fire);
   /// false if already fired, cancelled, or invalid.
   bool cancel(EventHandle h);
+
+  /// Moves a pending event to fire after `delay` (>= 0) seconds, keeping
+  /// its callback, slot and handle. The event takes a fresh sequence
+  /// number, so it fires exactly where cancel(h) plus schedule_in(delay)
+  /// of the same callback would put it — equal-time FIFO ties included —
+  /// minus the slot release, callback move and re-acquire. Returns false,
+  /// changing nothing, if `h` already fired, was cancelled, or is invalid.
+  bool reschedule_in(EventHandle h, util::Seconds delay);
 
   /// True if the event has neither fired nor been cancelled.
   bool is_pending(EventHandle h) const;
@@ -135,6 +144,8 @@ class Simulator {
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   void place(const HeapEntry& e, std::size_t i);  ///< writes heap_[i] + slot pos
+  /// Overwrites heap_[i] with `e` and sifts it to its place.
+  void replace_heap_entry(std::size_t i, const HeapEntry& e);
   void remove_heap_entry(std::size_t i);
 
   std::uint32_t acquire_slot();

@@ -17,8 +17,13 @@
 #include <functional>
 #include <memory>
 
+#include "energy/battery.hpp"
+#include "energy/energy_meter.hpp"
+#include "energy/radio_model.hpp"
+#include "net/link_state.hpp"
 #include "net/message.hpp"
 #include "net/message_ref.hpp"
+#include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "phy/channel.hpp"
 #include "phy/sharded_channel.hpp"
@@ -71,6 +76,64 @@ TEST(PerfAlloc, NestedSchedulingFromCallbacksIsAllocationFreeWhenWarm) {
   s.run();
   EXPECT_EQ(g_alloc_count - before, 0u);
   EXPECT_EQ(remaining, -1);
+}
+
+TEST(PerfAlloc, BatteryRearmIsAllocationFreeWhenWarm) {
+  // Every radio state change re-arms the node's battery: the pending death
+  // event is moved in the heap, never released and recreated.
+  sim::Simulator s;
+  energy::EnergyMeter meter(energy::mica());
+  int deaths = 0;
+  energy::Battery battery(s, 1e6, [&deaths] { ++deaths; });
+  battery.attach(&meter);
+  meter.transition(energy::EnergyCategory::kIdle, 0.0);
+  battery.rearm();
+  const auto flip = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      s.run_until(s.now() + 1e-3);
+      meter.transition(i % 2 == 0 ? energy::EnergyCategory::kRx
+                                  : energy::EnergyCategory::kIdle,
+                       s.now());
+      battery.rearm();
+    }
+  };
+  flip(16);  // warm-up
+  const std::uint64_t before = g_alloc_count;
+  flip(10000);
+  EXPECT_EQ(g_alloc_count - before, 0u) << "battery re-arm allocated";
+  EXPECT_EQ(s.pending_count(), 1u);  // exactly one death event armed
+  EXPECT_EQ(deaths, 0);
+}
+
+TEST(PerfAlloc, DynamicRoutingRebuildIsAllocationFreeWhenWarm) {
+  // A membership epoch rebuilds the shard's route tree in place: the
+  // snapshot, distances, heap and Euler-tour arrays are all reused.
+  const net::Topology topo = net::Topology::grid(50, 40.0 * 49, 0);
+  const net::ConnectivityGraph graph(topo.positions, 40.0);
+  for (const net::RoutePolicy policy :
+       {net::RoutePolicy::kShortestPath, net::RoutePolicy::kLifetimeAware}) {
+    net::LinkState links(graph.node_count());
+    links.set_link_up(1, 2, false);  // an explicit pair-down in every build
+    const net::DynamicRouting routes(
+        graph, topo.sink, links, /*all_pairs=*/false, policy,
+        [](net::NodeId v) { return 0.1 * static_cast<double>(v % 7); });
+    const net::NodeId far = graph.node_count() - 1;
+    bool up = true;
+    const auto toggle = [&](int rounds) {
+      for (int i = 0; i < rounds; ++i) {
+        up = !up;
+        links.set_node_up(1275, up);
+        EXPECT_NE(routes.next_hop(far, topo.sink), net::kInvalidNode);
+      }
+    };
+    toggle(4);  // warm-up: every buffer at its high-water capacity
+    const std::uint64_t before = g_alloc_count;
+    const std::int64_t rebuilds = routes.rebuild_count();
+    toggle(20);
+    EXPECT_EQ(g_alloc_count - before, 0u)
+        << net::to_string(policy) << " rebuild allocated";
+    EXPECT_EQ(routes.rebuild_count() - rebuilds, 20);
+  }
 }
 
 TEST(PerfAlloc, CaptureChannelHotPathIsAllocationFreeWhenWarm) {

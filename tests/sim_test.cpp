@@ -1,6 +1,7 @@
 // Unit tests: discrete-event simulator (ordering, cancellation, timers).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -188,6 +189,102 @@ TEST(Simulator, CancelFromWithinCallback) {
   s.run();
   EXPECT_FALSE(fired);
   EXPECT_DOUBLE_EQ(s.now(), 1.0);
+}
+
+TEST(Simulator, RescheduleInMovesAPendingEventAndKeepsItsHandle) {
+  Simulator s;
+  std::vector<int> order;
+  const auto late = s.schedule_at(5.0, [&] { order.push_back(5); });
+  s.schedule_at(2.0, [&] { order.push_back(2); });
+  ASSERT_TRUE(s.reschedule_in(late, 1.0));  // now ahead of the 2.0 event
+  EXPECT_TRUE(s.is_pending(late));
+  EXPECT_EQ(s.pending_count(), 2u);
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{5, 2}));
+  EXPECT_DOUBLE_EQ(s.now(), 2.0);
+  EXPECT_THROW(s.reschedule_in(late, -1.0), std::invalid_argument);
+}
+
+TEST(Simulator, RescheduleInOrdersExactlyLikeCancelPlusSchedule) {
+  // Twin simulators fed one random op stream: `moved` re-arms events with
+  // reschedule_in, `recreated` with cancel + schedule_in of the same
+  // callback. Delays sit on a coarse grid, so equal-time FIFO ties are
+  // common; the dispatch logs must agree event for event.
+  constexpr int kEvents = 2000;
+  Simulator moved;
+  Simulator recreated;
+  std::vector<int> log_moved;
+  std::vector<int> log_recreated;
+  std::vector<Simulator::EventHandle> h_moved(kEvents);
+  std::vector<Simulator::EventHandle> h_recreated(kEvents);
+  const auto arm_recreated = [&](int id, double delay) {
+    h_recreated[static_cast<std::size_t>(id)] = recreated.schedule_in(
+        delay, [&log_recreated, id] { log_recreated.push_back(id); });
+  };
+  std::mt19937_64 rng(11);
+  const auto grid_delay = [&rng] { return 0.5 * static_cast<double>(rng() % 5); };
+  int next = 0;
+  int moves = 0;
+  int refusals = 0;
+  for (int step = 0; step < 8000; ++step) {
+    const std::uint64_t op = rng() % 8;
+    if (op < 3 && next < kEvents) {
+      const int id = next++;
+      const double delay = 4.0 * grid_delay();
+      h_moved[static_cast<std::size_t>(id)] = moved.schedule_in(
+          delay, [&log_moved, id] { log_moved.push_back(id); });
+      arm_recreated(id, delay);
+    } else if (op < 6 && next > 0) {
+      // Re-arm one of the recent events: pending ones move; fired and
+      // cancelled ones must be refused by both paths alike.
+      const int id =
+          next - 1 -
+          static_cast<int>(rng() % static_cast<std::uint64_t>(
+                                       std::min(next, 64)));
+      const double delay = grid_delay();
+      const bool ok =
+          moved.reschedule_in(h_moved[static_cast<std::size_t>(id)], delay);
+      const bool was_pending =
+          recreated.cancel(h_recreated[static_cast<std::size_t>(id)]);
+      if (was_pending) arm_recreated(id, delay);
+      ASSERT_EQ(ok, was_pending) << "step " << step;
+      (ok ? moves : refusals) += 1;
+    } else if (op == 6 && next > 0) {
+      const auto i =
+          static_cast<std::size_t>(rng() % static_cast<std::uint64_t>(next));
+      ASSERT_EQ(moved.cancel(h_moved[i]), recreated.cancel(h_recreated[i]));
+    } else {
+      const double until = moved.now() + grid_delay();
+      moved.run_until(until);
+      recreated.run_until(until);
+      ASSERT_EQ(log_moved, log_recreated) << "step " << step;
+    }
+    ASSERT_EQ(moved.pending_count(), recreated.pending_count());
+  }
+  moved.run();
+  recreated.run();
+  EXPECT_EQ(log_moved, log_recreated);
+  EXPECT_EQ(moved.processed_count(), recreated.processed_count());
+  EXPECT_GT(moves, 300) << refusals;
+  EXPECT_GT(refusals, 300) << moves;
+}
+
+TEST(Simulator, RescheduleInRefusesFiredCancelledAndDefaultHandles) {
+  Simulator s;
+  std::vector<int> order;
+  const auto fired = s.schedule_at(1.0, [&] { order.push_back(1); });
+  const auto cancelled = s.schedule_at(2.0, [&] { order.push_back(2); });
+  s.schedule_at(3.0, [&] { order.push_back(3); });
+  ASSERT_TRUE(s.cancel(cancelled));
+  s.run_until(1.5);
+  for (const auto h : {fired, cancelled, Simulator::EventHandle{}}) {
+    EXPECT_FALSE(s.reschedule_in(h, 0.0));
+    EXPECT_FALSE(s.is_pending(h));
+    EXPECT_EQ(s.pending_count(), 1u);
+  }
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(s.processed_count(), 2u);
 }
 
 TEST(Simulator, CancelInterleavedWithScheduling) {
