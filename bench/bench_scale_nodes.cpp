@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
                   "0 disables")
       .add_double("max-rss-mib", 0,
                   "fail (exit 2) if peak RSS after the headline cell "
-                  "exceeds this many MiB — the O(n/shards + halo) "
+                  "exceeds this many MiB — the O(n/shards) "
                   "partition-memory tripwire; 0 disables")
       .add_int("compare-shards", 0,
                "re-run the largest grid point on one partition vs this "
@@ -392,7 +392,7 @@ int main(int argc, char** argv) {
                  "RSS BUDGET EXCEEDED: %.0f MiB > %.0f MiB after the "
                  "%d-node headline cell — a per-partition structure is "
                  "sized by the global population again (stripe-local "
-                 "node state, halo growth, or a drain buffer retaining "
+                 "channel or node state, or a drain buffer retaining "
                  "its high-water capacity)\n",
                  headline_rss_mib, rss_budget, headline_nodes);
     return 2;

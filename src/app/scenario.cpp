@@ -341,8 +341,9 @@ struct ShardState {
   std::vector<std::unique_ptr<DutyCycledWifiNode>> duty;
   std::vector<std::unique_ptr<CbrWorkload>> workloads;
 
-  // Membership-epoch state (engaged only for fault/battery runs). The
-  // replica feeds both radio classes' channel partitions and routers;
+  // Membership-epoch state (engaged only for fault/battery runs), dense
+  // over the whole network rather than stripe-local. The replica feeds
+  // both radio classes' channel partitions and routers;
   // the delta queue is written on the shard's pinned thread and drained
   // by the coordinator between phase barriers.
   std::optional<net::LinkState> links;
@@ -559,21 +560,17 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
   // owner; a link event to both endpoints' owners).
   std::vector<sim::FaultEvent> fault_events;
   if (has_faults) {
-    // FaultPlan only consults adjacency to aim link flaps at real links;
-    // crash-only plans skip the per-node list copy entirely.
-    std::vector<std::vector<std::int32_t>> adjacency;
-    if (config.faults.link_flaps > 0) {
-      const net::ConnectivityGraph& fault_graph =
-          needs_low ? *low_graph : *high_graph;
-      adjacency.reserve(static_cast<std::size_t>(n));
-      for (net::NodeId id = 0; id < n; ++id) {
-        const net::NeighborRange row = fault_graph.neighbors(id);
-        adjacency.emplace_back(row.begin(), row.end());
-      }
-    }
+    // FaultPlan reads neighbour rows only to aim link flaps at real
+    // links, straight from the radio graph's CSR rows.
+    const net::ConnectivityGraph& fault_graph =
+        needs_low ? *low_graph : *high_graph;
     fault_events =
         sim::FaultPlan(config.faults, n, sink, config.duration,
-                       config.faults.link_flaps > 0 ? &adjacency : nullptr)
+                       [&fault_graph](std::int32_t id) {
+                         const net::NeighborRange row =
+                             fault_graph.neighbors(id);
+                         return sim::NeighborRow{row.begin(), row.end()};
+                       })
             .events();
   }
 
@@ -597,21 +594,12 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
 
   // The coordinator-owned replica receives the global delta sequence
   // exactly once, in (time, shard, node) order — the membership ground
-  // truth the sink-partition checks run against. It stays dense (one O(n)
-  // byte array); the per-shard replicas are stripe-local instead: dense
-  // over the owned stripe plus the halo of boundary neighbors the shard's
-  // channels can name in a link_up query (union over both radio graphs),
-  // sparse for everything else a broadcast delta mentions.
+  // truth the sink-partition checks run against. Every shard keeps its
+  // own dense replica beside it (one byte per node, next to the
+  // whole-network router arrays the shard already holds).
   std::optional<net::LinkState> coord;
   if (has_links) {
-    std::vector<const net::ConnectivityGraph*> radio_graphs;
-    if (needs_low) radio_graphs.push_back(low_graph.get());
-    if (needs_high && high_graph != low_graph)
-      radio_graphs.push_back(high_graph.get());
-    const auto halos = map.halos(radio_graphs);
-    for (int s = 0; s < shard_count; ++s)
-      states[static_cast<std::size_t>(s)].links.emplace(
-          map.domain(s, halos[static_cast<std::size_t>(s)]));
+    for (auto& st : states) st.links.emplace(n);
     coord.emplace(n);
   }
 
@@ -794,15 +782,15 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
                                     mac::MacFamily::kAuto,
                                     {},
                                     nullptr};
+        // The 802.11 radio overhears promiscuously (full frames): needed
+        // both for faithful E_o^H charging and for shortcut learning.
         st.dual.resize(owned_n);
         for (std::size_t l = 0; l < owned_n; ++l) {
           st.dual[l] = std::make_unique<DualRadioNode>(
               ssim, low_medium->shard(s), high_medium->shard(s), *low_r,
               *high_r, owned_ids[l], config.sensor_radio,
-              config.wifi_radio, bcp,
-              config.wifi_promiscuous ? phy::OverhearMode::kFull
-                                      : phy::OverhearMode::kNone,
-              config.seed, &st.delivery, low_choice, high_choice);
+              config.wifi_radio, bcp, phy::OverhearMode::kFull, config.seed,
+              &st.delivery, low_choice, high_choice);
         }
         break;
       }
@@ -960,6 +948,13 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
   });
 
   engine.run(config.duration);
+
+  // Every barrier (the settlement rounds' too) broadcast the deltas
+  // queued before it, so each shard's replica must have converged on the
+  // coordinator's membership.
+  if (has_links)
+    for (const auto& st : states)
+      BCP_ENSURE(st.links->same_membership(*coord));
 
   // ---- Collect on the caller's thread (the run's final barrier ordered
   // every shard's state before us), in ascending shard order.

@@ -90,9 +90,6 @@ struct ScenarioConfig {
   // BCP parameters; burst_threshold is overwritten from burst_packets.
   core::BcpConfig bcp;
   int burst_packets = 500;  ///< α-s* in packets (§4.1: 10..2500)
-  /// 802.11 radios overhear promiscuously (full frames) — needed both for
-  /// faithful E_o^H charging and for shortcut learning.
-  bool wifi_promiscuous = true;
 
   util::Seconds duration = 5000.0;
   std::uint64_t seed = 1;

@@ -48,19 +48,6 @@ SweepGrid& SweepGrid::constant(std::string name, double value) {
   return axis(std::move(name), {value});
 }
 
-const std::string& SweepGrid::axis_name(std::size_t a) const {
-  BCP_REQUIRE(a < axes_.size());
-  return axes_[a].name;
-}
-
-const std::vector<double>& SweepGrid::axis_values(
-    const std::string& name) const {
-  for (const auto& a : axes_)
-    if (a.name == name) return a.values;
-  BCP_REQUIRE_MSG(false, "no such sweep axis: " + name);
-  throw std::logic_error("unreachable");
-}
-
 std::size_t SweepGrid::size() const {
   if (axes_.empty()) return 0;
   std::size_t n = 1;

@@ -73,10 +73,6 @@ class SweepGrid {
   /// Convenience: a one-value axis (a constant recorded in every point).
   SweepGrid& constant(std::string name, double value);
 
-  std::size_t axis_count() const { return axes_.size(); }
-  const std::string& axis_name(std::size_t a) const;
-  const std::vector<double>& axis_values(const std::string& name) const;
-
   /// Number of grid points (product of axis sizes); 0 for an empty grid.
   std::size_t size() const;
 

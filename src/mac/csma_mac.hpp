@@ -82,7 +82,6 @@ class CsmaCaMac final : public Mac {
   void on_radio_tx_done();
   void on_ack_timeout();
   void on_frame_received(const phy::Frame& frame);
-  void send_ack(net::NodeId to, std::uint32_t seq);
   void finish_head(bool success);
   util::Seconds ack_duration() const;
   phy::Frame make_data_frame(const Outgoing& out) const;

@@ -89,7 +89,6 @@ class TdmaMac final : public Mac {
   const Stats& stats() const override { return stats_; }
   const TdmaParams& params() const { return params_; }
 
-  bool is_coordinator() const { return is_coordinator_; }
   /// True while the node's last-heard beacon still covers upcoming slots.
   bool synced() const;
 

@@ -21,21 +21,12 @@
 // been taken down explicitly. Setting a state it already has is a no-op
 // and does not bump the revision.
 //
-// Memory model: the dense constructor keeps one dense byte per node —
-// right for a lone Channel and for the coordinator's replica. A scenario
-// partition instead constructs its replica over a StripeDomain:
-// dense bytes only for the stripe it owns plus the halo of boundary
-// neighbors it must hear (the ids its channel partition ever asks about),
-// and a sparse down-set for every other node a broadcast membership delta
-// names. Queries and revision bumps are semantically identical to the
-// dense layout — same answers, same revisions, byte-identical downstream
-// metrics — while per-partition memory drops from O(n) to
-// O(n/shards + halo).
+// The layout is dense: one byte per node plus a hash set of explicitly
+// downed pairs. A scenario shard's replica costs n bytes next to the
+// whole-network DynamicRouting arrays the same shard already holds.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -72,50 +63,12 @@ struct MembershipDelta {
   }
 };
 
-/// Stripe-local id domain of one partition: which global node ids get a
-/// dense slot in that partition's node-indexed state. Slots [0, owned)
-/// are the stripe's own nodes in ascending global-id order (the same
-/// contiguous local ids phy::ShardMap::local_of assigns); slots
-/// [owned, owned + halo) are the halo — remote nodes adjacent to an owned
-/// node in some radio graph, i.e. every id the partition's channels can
-/// name in a membership query. Built once per shard (phy::ShardMap::
-/// domain) for that shard's replica.
-struct StripeDomain {
-  int node_count = 0;      ///< global population (bounds checks)
-  std::int32_t shard = 0;  ///< which stripe this domain describes
-  std::int32_t owned = 0;  ///< dense slots [0, owned)
-  /// Global per-node arrays (not owned; the ShardMap outlives the run).
-  const std::int32_t* shard_of = nullptr;
-  const std::int32_t* local_of = nullptr;
-  /// Halo ids → dense slots in [owned, owned + halo_slot.size()).
-  std::unordered_map<NodeId, std::int32_t> halo_slot;
-
-  std::int32_t dense_count() const {
-    return owned + static_cast<std::int32_t>(halo_slot.size());
-  }
-
-  /// Dense slot of a global id, or -1 when the id is outside owned + halo
-  /// (those fall through to a replica's sparse down-set).
-  std::int32_t dense_slot(NodeId global) const {
-    if (shard_of[static_cast<std::size_t>(global)] == shard)
-      return local_of[static_cast<std::size_t>(global)];
-    const auto it = halo_slot.find(global);
-    return it == halo_slot.end() ? -1 : it->second;
-  }
-};
-
 class LinkState {
  public:
-  /// Dense over every node — a lone Channel's shared state and the
-  /// scenario coordinator's ground-truth replica.
+  /// Every node and link starts up.
   explicit LinkState(int node_count);
 
-  /// Stripe-local replica: dense over `domain` (owned stripe + halo),
-  /// sparse beyond it. Answers and revision bumps are identical to the
-  /// dense layout for any query in [0, node_count).
-  explicit LinkState(std::shared_ptr<const StripeDomain> domain);
-
-  int node_count() const { return node_count_; }
+  int node_count() const { return static_cast<int>(node_up_.size()); }
 
   /// True while no node and no link is down — the fast path.
   bool all_up() const { return down_nodes_ == 0 && down_links_.empty(); }
@@ -141,7 +94,7 @@ class LinkState {
   /// kMaskPairDown iff the node ends an explicitly downed pair. Edge
   /// (a, b) is then up iff both ends carry kMaskUp and, when both also
   /// carry kMaskPairDown, !pair_down(a, b) — so a reader asks the pair set
-  /// only about flagged endpoints. O(n + halo + down), no per-node hashing.
+  /// only about flagged endpoints. O(n + down), no per-node hashing.
   void up_mask(std::vector<std::uint8_t>& mask) const;
 
   /// True iff the unordered pair was taken down explicitly (set_link_up),
@@ -163,24 +116,18 @@ class LinkState {
   /// DynamicRouting to re-read them.
   void touch() { ++revision_; }
 
-  int down_node_count() const { return down_nodes_; }
-  std::size_t down_link_count() const { return down_links_.size(); }
-
-  /// Dense bytes actually allocated: node_count() for the historical
-  /// layout, owned + halo for a stripe-local replica (the white-box
-  /// memory-model assertion the sharded tests pin).
-  std::size_t dense_size() const { return node_up_.size(); }
-  bool stripe_local() const { return domain_ != nullptr; }
+  /// True iff both replicas hold the same membership: the same up/down
+  /// state per node and the same set of explicitly downed pairs. The
+  /// revision is not compared (touch() bumps it without a membership
+  /// change). O(n + down).
+  bool same_membership(const LinkState& other) const {
+    return node_up_ == other.node_up_ && down_links_ == other.down_links_;
+  }
 
  private:
   static std::uint64_t key(NodeId a, NodeId b);
 
-  int node_count_ = 0;
-  std::shared_ptr<const StripeDomain> domain_;  ///< null = dense layout
-  std::vector<std::uint8_t> node_up_;  ///< dense part (all, or owned+halo)
-  /// Stripe-local only: down nodes outside the dense domain. Bounded by
-  /// the number of distinct nodes membership deltas ever name, never by n.
-  std::unordered_set<NodeId> down_remote_;
+  std::vector<std::uint8_t> node_up_;  ///< one byte per node, 1 = up
   std::unordered_set<std::uint64_t> down_links_;
   std::uint64_t revision_ = 0;
   int down_nodes_ = 0;

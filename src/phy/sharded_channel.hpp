@@ -22,7 +22,6 @@
 #include <memory>
 #include <vector>
 
-#include "net/link_state.hpp"
 #include "net/topology.hpp"
 #include "phy/channel.hpp"
 #include "sim/sharded_simulator.hpp"
@@ -55,21 +54,6 @@ struct ShardMap {
   const std::vector<net::NodeId>& owned_nodes(int shard) const {
     return owned[static_cast<std::size_t>(shard)];
   }
-
-  /// Per stripe: the halo — remote global ids adjacent to an owned node in
-  /// any of `graphs` (union over radio classes), sorted ascending. These
-  /// are exactly the ids a partition can name in a membership query whose
-  /// answer must be epoch-exact, so they get dense slots in the stripe's
-  /// LinkState replicas.
-  std::vector<std::vector<net::NodeId>> halos(
-      const std::vector<const net::ConnectivityGraph*>& graphs) const;
-
-  /// The stripe-local id domain net::LinkState builds its replica over:
-  /// dense slots [0, owned) via local_of, then one slot per halo id in the
-  /// given order. The domain aliases this map's arrays — the ShardMap must
-  /// outlive every replica built on it.
-  std::shared_ptr<const net::StripeDomain> domain(
-      int shard, const std::vector<net::NodeId>& halo) const;
 };
 
 class ShardedMedium {

@@ -67,7 +67,7 @@ std::vector<std::int32_t> sample_nodes(util::Xoshiro256& rng, int n,
 FaultPlan::FaultPlan(
     const FaultPlanSpec& spec, int node_count, std::int32_t sink,
     util::Seconds duration,
-    const std::vector<std::vector<std::int32_t>>* adjacency) {
+    const NeighborRows& neighbors) {
   BCP_REQUIRE(node_count >= 2);
   BCP_REQUIRE(sink >= 0 && sink < node_count);
   BCP_REQUIRE(duration > 0);
@@ -88,20 +88,21 @@ FaultPlan::FaultPlan(
     events_.push_back({up_at, FaultKind::kNodeRecover, node, -1});
   }
 
-  // Link flaps: prefer real links (adjacency given); de-duplicate pairs so
-  // overlapping windows on one link cannot interleave down/down/up.
+  // Link flaps: prefer real links (neighbour rows given); de-duplicate
+  // pairs so overlapping windows on one link cannot interleave
+  // down/down/up.
   std::vector<std::pair<std::int32_t, std::int32_t>> picked;
   int attempts = 0;
   while (static_cast<int>(picked.size()) < spec.link_flaps &&
          attempts < spec.link_flaps * 64) {
     ++attempts;
     std::int32_t a, b;
-    if (adjacency != nullptr) {
+    if (neighbors) {
       a = static_cast<std::int32_t>(
           rng.uniform_int(static_cast<std::uint64_t>(node_count)));
-      const auto& nbrs = (*adjacency)[static_cast<std::size_t>(a)];
-      if (nbrs.empty()) continue;
-      b = nbrs[rng.uniform_int(nbrs.size())];
+      const NeighborRow row = neighbors(a);
+      if (row.size() == 0) continue;
+      b = row.first[rng.uniform_int(row.size())];
     } else {
       a = static_cast<std::int32_t>(
           rng.uniform_int(static_cast<std::uint64_t>(node_count)));

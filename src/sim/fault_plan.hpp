@@ -2,7 +2,7 @@
 //
 // A FaultPlan expands a declarative FaultPlanSpec into a time-sorted list
 // of node crash/recover and link down/up events. The expansion is a pure
-// function of (spec, node_count, sink, duration, adjacency): the same
+// function of (spec, node_count, sink, duration, neighbour rows): the same
 // inputs always yield byte-identical schedules, so churn scenarios are as
 // reproducible as everything else in the simulator — the fault seed is
 // part of a run's identity and is exported in bench metadata.
@@ -13,9 +13,9 @@
 //     exponentially-distributed downtime (mean `mean_downtime`), clamped
 //     so the recovery lands before 95% of the run — every generated crash
 //     is observed AND recovered within the horizon.
-//   * `link_flaps` distinct links (drawn from `adjacency` when given, so
-//     flaps hit real links; arbitrary node pairs otherwise) each go down
-//     once and come back up, with the same time rules.
+//   * `link_flaps` distinct links (drawn from the neighbour rows when
+//     given, so flaps hit real links; arbitrary node pairs otherwise)
+//     each go down once and come back up, with the same time rules.
 //   * Explicit `events` are merged in and validated (ids in range, no
 //     sink crash, non-negative times).
 //
@@ -24,7 +24,9 @@
 // net::LinkState the channels and DynamicRouting consult).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "util/units.hpp"
@@ -60,17 +62,29 @@ struct FaultPlanSpec {
   }
 };
 
+/// One node's neighbour row: a read-only id range, valid for the
+/// FaultPlan constructor call that reads it.
+struct NeighborRow {
+  const std::int32_t* first = nullptr;
+  const std::int32_t* last = nullptr;
+  std::size_t size() const { return static_cast<std::size_t>(last - first); }
+};
+
+/// Returns node `id`'s neighbour row (a radio connectivity graph's row in
+/// a scenario, so the plan needs no copy of the graph).
+using NeighborRows = std::function<NeighborRow(std::int32_t id)>;
+
 class FaultPlan {
  public:
   /// Expands `spec` over a `node_count`-node network whose sink is never
-  /// crashed. `adjacency` (one neighbour list per node, as produced by the
-  /// radio's connectivity graph) steers link flaps onto real links; pass
-  /// nullptr to draw arbitrary pairs. Throws std::invalid_argument when
+  /// crashed. `neighbors` (one row per node, as produced by the radio's
+  /// connectivity graph) steers link flaps onto real links; leave it empty
+  /// to draw arbitrary pairs. Throws std::invalid_argument when
   /// the spec cannot be satisfied (more crashes than non-sink nodes,
   /// explicit events out of range or crashing the sink).
   FaultPlan(const FaultPlanSpec& spec, int node_count, std::int32_t sink,
             util::Seconds duration,
-            const std::vector<std::vector<std::int32_t>>* adjacency = nullptr);
+            const NeighborRows& neighbors = {});
 
   /// The expanded schedule, sorted by (time, kind, node, peer).
   const std::vector<FaultEvent>& events() const { return events_; }

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <random>
 #include <set>
 #include <vector>
@@ -17,7 +16,6 @@
 #include "net/link_state.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
-#include "phy/sharded_channel.hpp"
 #include "sim/fault_plan.hpp"
 
 namespace bcp {
@@ -72,7 +70,10 @@ TEST(FaultPlan, LinkFlapsFollowTheAdjacency) {
   const std::vector<std::vector<std::int32_t>> adjacency = {
       {1}, {0, 2}, {1, 3}, {2}};
   auto spec = churn_spec(0, 3);
-  const sim::FaultPlan plan(spec, 4, 0, 800.0, &adjacency);
+  const sim::FaultPlan plan(spec, 4, 0, 800.0, [&adjacency](std::int32_t id) {
+    const auto& row = adjacency[static_cast<std::size_t>(id)];
+    return sim::NeighborRow{row.data(), row.data() + row.size()};
+  });
   std::set<std::pair<std::int32_t, std::int32_t>> flapped;
   for (const auto& ev : plan.events()) {
     ASSERT_TRUE(ev.kind == sim::FaultKind::kLinkDown ||
@@ -130,6 +131,30 @@ TEST(LinkState, RevisionBumpsOnlyOnEffectiveChange) {
   EXPECT_EQ(links.revision(), r0 + 2);
 }
 
+// Replicas that reach one membership by different paths compare equal
+// (revisions and touches aside); one differing node or pair breaks it.
+TEST(LinkState, SameMembershipIgnoresHistoryButNotState) {
+  net::LinkState a(5);
+  net::LinkState b(5);
+  a.set_node_up(3, false);
+  a.set_link_up(0, 1, false);
+  b.set_link_up(1, 0, false);
+  b.set_node_up(2, false);
+  b.set_node_up(3, false);
+  b.set_node_up(2, true);
+  b.touch();
+  EXPECT_NE(a.revision(), b.revision());
+  EXPECT_TRUE(a.same_membership(b));
+  EXPECT_TRUE(b.same_membership(a));
+  b.set_node_up(4, false);
+  EXPECT_FALSE(a.same_membership(b));
+  b.set_node_up(4, true);
+  b.set_link_up(2, 4, false);
+  EXPECT_FALSE(a.same_membership(b));
+  b.set_link_up(2, 4, true);
+  EXPECT_TRUE(a.same_membership(b));
+}
+
 // ------------------------------------------------------- DynamicRouting --
 
 TEST(DynamicRouting, RebuildsOnlyOnMembershipChange) {
@@ -179,96 +204,76 @@ TEST(DynamicRouting, MatchesStaticProvidersWhileAllUp) {
 // An in-place rebuild must be indistinguishable from a fresh build. Drive
 // a 30x30 grid through random crash / recover / link-flap / touch epochs
 // and, after each, compare the DynamicRouting tree against a freshly
-// constructed ConvergecastRouting over the dense ground-truth replica.
-// The router reads either that dense replica or a stripe-local one (the
-// layout a scenario partition uses) that received the same mutations.
+// constructed ConvergecastRouting over the same replica.
 TEST(DynamicRouting, InPlaceRebuildMatchesAFreshTreeThroughChurn) {
   const net::Topology topo = net::Topology::grid(30, 40.0 * 29, 0);
   const auto graph =
       std::make_shared<const net::ConnectivityGraph>(topo.positions, 40.0);
   const int n = graph->node_count();
-  const phy::ShardMap map = phy::ShardMap::stripes(topo.positions, 3);
-  const auto halos = map.halos({graph.get()});
   for (const net::RoutePolicy policy :
        {net::RoutePolicy::kShortestPath, net::RoutePolicy::kLifetimeAware}) {
-    for (const bool stripe_local : {false, true}) {
-      SCOPED_TRACE(std::string(net::to_string(policy)) +
-                   (stripe_local ? " / stripe-local" : " / dense"));
-      net::LinkState truth(n);
-      std::optional<net::LinkState> stripe;
-      if (stripe_local) stripe.emplace(map.domain(1, halos[1]));
-      const net::LinkState& replica = stripe ? *stripe : truth;
-      std::vector<double> fraction(static_cast<std::size_t>(n), 0.0);
-      net::NodeCostFn cost;
-      if (policy == net::RoutePolicy::kLifetimeAware)
-        cost = [&fraction](net::NodeId v) {
-          return 4.0 * fraction[static_cast<std::size_t>(v)];
-        };
-      const net::DynamicRouting dyn(*graph, topo.sink, replica,
-                                    /*all_pairs=*/false, policy, cost);
-      const auto set_node = [&](net::NodeId v, bool up) {
-        truth.set_node_up(v, up);
-        if (stripe) stripe->set_node_up(v, up);
+    SCOPED_TRACE(net::to_string(policy));
+    net::LinkState links(n);
+    std::vector<double> fraction(static_cast<std::size_t>(n), 0.0);
+    net::NodeCostFn cost;
+    if (policy == net::RoutePolicy::kLifetimeAware)
+      cost = [&fraction](net::NodeId v) {
+        return 4.0 * fraction[static_cast<std::size_t>(v)];
       };
-      const auto set_link = [&](net::NodeId a, net::NodeId b, bool up) {
-        truth.set_link_up(a, b, up);
-        if (stripe) stripe->set_link_up(a, b, up);
-      };
-      std::mt19937_64 rng(stripe_local ? 23 : 17);
-      const auto pick = [&rng](int bound) {
-        return static_cast<net::NodeId>(rng() %
-                                        static_cast<std::uint64_t>(bound));
-      };
-      std::vector<net::NodeId> down;
-      dyn.next_hop(0, topo.sink);  // the initial build, at revision 0
-      for (int step = 0; step < 200; ++step) {
-        const std::uint64_t op = rng() % 4;
-        if (op == 0) {  // crash a live non-sink node
-          const net::NodeId v = 1 + pick(n - 1);
-          if (truth.node_up(v)) {
-            set_node(v, false);
-            down.push_back(v);
-          }
-        } else if (op == 1 && !down.empty()) {  // recover one
-          const auto i = static_cast<std::size_t>(
-              pick(static_cast<int>(down.size())));
-          set_node(down[i], true);
-          down.erase(down.begin() + static_cast<std::ptrdiff_t>(i));
-        } else if (op == 2) {  // flap a real link
-          const net::NodeId a = pick(n);
-          const net::NeighborRange row = graph->neighbors(a);
-          const net::NodeId b =
-              row[static_cast<std::size_t>(pick(static_cast<int>(row.size())))];
-          set_link(a, b, truth.pair_down(a, b));
-        } else {  // re-price relays
-          for (double& f : fraction)
-            f = static_cast<double>(rng() % 1000) / 1000.0;
-          truth.touch();
-          if (stripe) stripe->touch();
+    const net::DynamicRouting dyn(*graph, topo.sink, links,
+                                  /*all_pairs=*/false, policy, cost);
+    std::mt19937_64 rng(17);
+    const auto pick = [&rng](int bound) {
+      return static_cast<net::NodeId>(rng() %
+                                      static_cast<std::uint64_t>(bound));
+    };
+    std::vector<net::NodeId> down;
+    dyn.next_hop(0, topo.sink);  // the initial build, at revision 0
+    for (int step = 0; step < 200; ++step) {
+      const std::uint64_t op = rng() % 4;
+      if (op == 0) {  // crash a live non-sink node
+        const net::NodeId v = 1 + pick(n - 1);
+        if (links.node_up(v)) {
+          links.set_node_up(v, false);
+          down.push_back(v);
         }
-        const net::ConvergecastRouting fresh(*graph, topo.sink, &truth,
-                                             cost);
-        const net::ConvergecastRouting& tree = dyn.tree();
-        ASSERT_EQ(tree.stranded(), fresh.stranded()) << "step " << step;
-        for (net::NodeId v = 0; v < n; ++v) {
-          ASSERT_EQ(tree.parent(v), fresh.parent(v)) << "step " << step;
-          ASSERT_EQ(tree.depth(v), fresh.depth(v)) << "step " << step;
-          // Every tree edge is up in the ground truth.
-          const net::NodeId p = tree.parent(v);
-          if (v != topo.sink && p != net::kInvalidNode) {
-            ASSERT_TRUE(truth.link_up(v, p)) << "step " << step;
-          }
-          ASSERT_EQ(dyn.next_hop(v, topo.sink), fresh.next_hop(v, topo.sink))
-              << "step " << step;
-          ASSERT_EQ(dyn.hops(v, topo.sink), fresh.hops(v, topo.sink))
-              << "step " << step;
-        }
+      } else if (op == 1 && !down.empty()) {  // recover one
+        const auto i = static_cast<std::size_t>(
+            pick(static_cast<int>(down.size())));
+        links.set_node_up(down[i], true);
+        down.erase(down.begin() + static_cast<std::ptrdiff_t>(i));
+      } else if (op == 2) {  // flap a real link
+        const net::NodeId a = pick(n);
+        const net::NeighborRange row = graph->neighbors(a);
+        const net::NodeId b =
+            row[static_cast<std::size_t>(pick(static_cast<int>(row.size())))];
+        links.set_link_up(a, b, links.pair_down(a, b));
+      } else {  // re-price relays
+        for (double& f : fraction)
+          f = static_cast<double>(rng() % 1000) / 1000.0;
+        links.touch();
       }
-      // Each step changes membership at most once: one rebuild per
-      // effective epoch, plus the initial build.
-      EXPECT_EQ(dyn.rebuild_count(),
-                1 + static_cast<std::int64_t>(replica.revision()));
+      const net::ConvergecastRouting fresh(*graph, topo.sink, &links, cost);
+      const net::ConvergecastRouting& tree = dyn.tree();
+      ASSERT_EQ(tree.stranded(), fresh.stranded()) << "step " << step;
+      for (net::NodeId v = 0; v < n; ++v) {
+        ASSERT_EQ(tree.parent(v), fresh.parent(v)) << "step " << step;
+        ASSERT_EQ(tree.depth(v), fresh.depth(v)) << "step " << step;
+        // Every tree edge is up.
+        const net::NodeId p = tree.parent(v);
+        if (v != topo.sink && p != net::kInvalidNode) {
+          ASSERT_TRUE(links.link_up(v, p)) << "step " << step;
+        }
+        ASSERT_EQ(dyn.next_hop(v, topo.sink), fresh.next_hop(v, topo.sink))
+            << "step " << step;
+        ASSERT_EQ(dyn.hops(v, topo.sink), fresh.hops(v, topo.sink))
+            << "step " << step;
+      }
     }
+    // Each step changes membership at most once: one rebuild per
+    // effective epoch, plus the initial build.
+    EXPECT_EQ(dyn.rebuild_count(),
+              1 + static_cast<std::int64_t>(links.revision()));
   }
 }
 

@@ -714,35 +714,6 @@ TEST(ShardMap, LocalIdsAreContiguousAscendingAndInvertOwned) {
   EXPECT_EQ(total, 23);  // every node owned by exactly one stripe
 }
 
-TEST(ShardMap, HalosAreTheRemoteNeighborsOfOwnedNodes) {
-  const ChainFixture fx;  // 0—1—2—3; two stripes cut between 1 and 2
-  const phy::ShardMap map = phy::ShardMap::stripes(fx.positions, 2);
-  const net::ConnectivityGraph graph(fx.positions, fx.range);
-  const auto halos = map.halos({&graph});
-  ASSERT_EQ(halos.size(), 2u);
-  // Stripe 0 owns {0,1}; its only cross-boundary edge is 1—2, so the halo
-  // is exactly {2} (and symmetrically {1} for stripe 1). Nodes 0 and 3
-  // never appear: no owned node of the other stripe can hear them.
-  EXPECT_EQ(halos[0], (std::vector<net::NodeId>{2}));
-  EXPECT_EQ(halos[1], (std::vector<net::NodeId>{1}));
-}
-
-TEST(ShardMap, DomainAssignsOwnedSlotsDenseThenHalo) {
-  const ChainFixture fx;
-  const phy::ShardMap map = phy::ShardMap::stripes(fx.positions, 2);
-  const net::ConnectivityGraph graph(fx.positions, fx.range);
-  const auto halos = map.halos({&graph});
-  const auto domain = map.domain(0, halos[0]);
-  ASSERT_NE(domain, nullptr);
-  EXPECT_EQ(domain->shard, 0);
-  EXPECT_EQ(domain->owned, 2);
-  EXPECT_EQ(domain->dense_count(), 3);  // owned {0,1} + halo {2}
-  EXPECT_EQ(domain->dense_slot(0), 0);
-  EXPECT_EQ(domain->dense_slot(1), 1);
-  EXPECT_EQ(domain->dense_slot(2), 2);   // first halo slot
-  EXPECT_EQ(domain->dense_slot(3), -1);  // outside owned + halo
-}
-
 TEST(ShardedChannel, PartitionVectorsAreStripeLocal) {
   const ChainFixture fx;
   sim::ShardedSimulator::Params params;
@@ -819,62 +790,6 @@ TEST(ShardedChannel, LinkFieldIsIndependentOfTheShardCount) {
     ASSERT_EQ(standalone.propagation().loss_prob(e), ref.loss_prob(e));
     ASSERT_EQ(standalone.propagation().rx_power_dbm(e), ref.rx_power_dbm(e));
   }
-}
-
-TEST(LinkStateReplica, StripeLocalDenseSizeIsOwnedPlusHalo) {
-  const ChainFixture fx;
-  const phy::ShardMap map = phy::ShardMap::stripes(fx.positions, 2);
-  const net::ConnectivityGraph graph(fx.positions, fx.range);
-  const auto halos = map.halos({&graph});
-  const net::LinkState replica(map.domain(0, halos[0]));
-  EXPECT_TRUE(replica.stripe_local());
-  EXPECT_EQ(replica.dense_size(), 3u);  // 2 owned + 1 halo, not n = 4
-  EXPECT_EQ(replica.node_count(), 4);   // queries still span the world
-  const net::LinkState dense(4);
-  EXPECT_FALSE(dense.stripe_local());
-  EXPECT_EQ(dense.dense_size(), 4u);
-}
-
-TEST(LinkStateReplica, StripeLocalAnswersMatchDenseUnderChurn) {
-  const ChainFixture fx;
-  const phy::ShardMap map = phy::ShardMap::stripes(fx.positions, 2);
-  const net::ConnectivityGraph graph(fx.positions, fx.range);
-  const auto halos = map.halos({&graph});
-  net::LinkState stripe(map.domain(0, halos[0]));
-  net::LinkState dense(4);
-  // Mutation sequence spanning owned (0,1), halo (2) and out-of-domain (3)
-  // ids, with idempotent repeats: every answer and every revision bump
-  // must match the dense layout exactly.
-  const auto check = [&] {
-    EXPECT_EQ(stripe.all_up(), dense.all_up());
-    EXPECT_EQ(stripe.down_node_count(), dense.down_node_count());
-    EXPECT_EQ(stripe.revision(), dense.revision());
-    for (net::NodeId v = 0; v < 4; ++v)
-      EXPECT_EQ(stripe.node_up(v), dense.node_up(v)) << "node " << v;
-    for (net::NodeId a = 0; a < 4; ++a)
-      for (net::NodeId b = 0; b < 4; ++b)
-        if (a != b) {
-          EXPECT_EQ(stripe.link_up(a, b), dense.link_up(a, b))
-              << a << "-" << b;
-        }
-  };
-  const std::vector<std::pair<net::NodeId, bool>> flips{
-      {1, false}, {1, false},  // repeat: no revision bump in either
-      {3, false},              // out-of-domain → sparse down-set
-      {2, false},              // halo slot
-      {1, true},  {3, true},  {2, true}, {0, false}, {0, true}};
-  check();
-  for (const auto& [node, up] : flips) {
-    stripe.set_node_up(node, up);
-    dense.set_node_up(node, up);
-    check();
-  }
-  stripe.set_link_up(1, 2, false);
-  dense.set_link_up(1, 2, false);
-  check();
-  stripe.set_link_up(1, 2, true);
-  dense.set_link_up(1, 2, true);
-  check();
 }
 
 TEST(ShardedScenario, ShardCountAboveNodeCountIsRejected) {
