@@ -17,18 +17,21 @@
 // Membership epochs: fault/churn and finite batteries mutate LinkState
 // membership mid-run, which a single shared LinkState cannot survive
 // under real threads. Instead every shard owns one LinkState *replica*,
-// read by both radio classes' channel partitions and routers (every
-// mutation hits both classes alike, so one replica serves them). The
-// shard that owns a node executes its crash / recover /
-// depletion at the exact event instant against its own replica (through
-// app::crash_node, so local timing is exact), queues the mutation as a
+// read by both radio classes' channel partitions (every mutation hits
+// both classes alike, so one replica serves them). The shard that owns a
+// node executes its crash / recover / depletion at the exact event
+// instant against its own replica (through app::crash_node, so its
+// channels are exact at once), queues the mutation as a
 // net::MembershipDelta, and the coordinator broadcasts the accumulated
 // batch to every replica at the window barrier, applied in deterministic
 // (time, shard, node) order — a remote shard sees a membership change at
 // most one exchange window late, the same staleness bound the
 // boundary-frame mailboxes already carry. A coordinator-owned replica
 // receives the same global delta sequence and answers the
-// sink-partition checks exactly at each death's event time. Delivered
+// sink-partition checks exactly at each death's event time; the run's
+// one router per radio graph reads it too, refreshed at every barrier, so
+// routes follow a membership change at the next barrier on every shard,
+// the owner's included. Delivered
 // counts referenced by the "bits until first death / partition" metrics
 // are read at the publishing barrier (≤ one window after the event), and
 // lifetime-aware routing re-prices relays from a battery snapshot taken
@@ -143,13 +146,6 @@ void require_connected(const net::ConnectivityGraph& graph, net::NodeId sink,
                       std::to_string(stranded.size()) +
                       " node(s) cannot reach sink " + std::to_string(sink) +
                       ": " + net::format_node_list(stranded));
-}
-
-/// Static routes over one radio graph (runs without membership state).
-std::unique_ptr<net::Router> static_routes(const net::ConnectivityGraph& graph,
-                                           net::NodeId sink, bool all_pairs) {
-  if (all_pairs) return std::make_unique<net::RoutingTable>(graph);
-  return std::make_unique<net::ConvergecastRouting>(graph, sink);
 }
 
 /// The seed-determined sender subset (sorted node ids, sink excluded).
@@ -341,16 +337,12 @@ struct ShardState {
   std::vector<std::unique_ptr<DutyCycledWifiNode>> duty;
   std::vector<std::unique_ptr<CbrWorkload>> workloads;
 
-  // Membership-epoch state (engaged only for fault/battery runs), dense
-  // over the whole network rather than stripe-local. The replica feeds
-  // both radio classes' channel partitions and routers;
-  // the delta queue is written on the shard's pinned thread and drained
-  // by the coordinator between phase barriers.
+  // Membership-epoch state (engaged only for fault/battery runs). The
+  // replica is dense over the whole network (one byte per node) and feeds
+  // both radio classes' channel partitions; the delta queue is written on
+  // the shard's pinned thread and drained by the coordinator between
+  // phase barriers.
   std::optional<net::LinkState> links;
-  /// One DynamicRouting per distinct radio graph: `high_dyn` stays null
-  /// when the classes share a graph, and both route through `low_dyn`.
-  std::unique_ptr<net::DynamicRouting> low_dyn;
-  std::unique_ptr<net::DynamicRouting> high_dyn;
   std::vector<std::unique_ptr<energy::Battery>> batteries;
   std::vector<PendingDelta> deltas;
   /// Stable callable targets for event captures (the vector of states is
@@ -526,33 +518,22 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
   const int shard_count = map.count;
 
   // Shared read-only structures: one connectivity graph per radio range
-  // (each partition holds a reference, not a copy — O(n + e) once). With
-  // static membership one Router per class is shared too
-  // (RoutingTable/ConvergecastRouting queries are const and
-  // thread-safe); fault/battery runs instead build one DynamicRouting
-  // per shard per distinct graph in the setup phase, since its lazy
-  // rebuild cache mutates on query and must key off the shard's own
-  // replica revision.
+  // (each partition holds a reference, not a copy — O(n + e) once).
+  // Equal ranges give identical disc graphs: build one and share it (each
+  // radio class still gets its own link model and seed).
   std::shared_ptr<const net::ConnectivityGraph> low_graph;
   std::shared_ptr<const net::ConnectivityGraph> high_graph;
-  std::unique_ptr<net::Router> low_routes;
-  std::unique_ptr<net::Router> high_routes;
   if (needs_low) {
     low_graph = std::make_shared<net::ConnectivityGraph>(
         topo.positions, config.sensor_radio.range);
     require_connected(*low_graph, sink, "sensor");
-    if (!has_links) low_routes = static_routes(*low_graph, sink, all_pairs);
   }
   if (needs_high) {
-    // Equal ranges give identical disc graphs: build one and share it
-    // (each radio class still gets its own link model and seed).
     high_graph = low_graph != nullptr && wifi_range == low_graph->range()
                      ? low_graph
                      : std::make_shared<net::ConnectivityGraph>(
                            topo.positions, wifi_range);
     if (high_graph != low_graph) require_connected(*high_graph, sink, "wifi");
-    if (!has_links)
-      high_routes = static_routes(*high_graph, sink, all_pairs);
   }
 
   // The fault plan is expanded once on the caller; each shard schedules
@@ -580,11 +561,10 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
   const std::vector<net::NodeId> senders =
       pick_senders(config.seed, n, sink, config.n_senders);
 
-  // Lifetime-aware route costs read this shared drawn/capacity snapshot,
+  // Lifetime-aware route costs read this drawn/capacity snapshot,
   // refreshed by the coordinator at barriers on the reroute_period grid —
-  // never live battery state, so every shard prices relays identically
-  // regardless of thread count. Declared before `states`: the per-shard
-  // cost functions stored inside DynamicRouting reference it.
+  // never live battery state, so relay prices are a pure function of
+  // (config, shard count).
   std::vector<double> battery_fraction;
   if (lifetime_routing) battery_fraction.assign(static_cast<std::size_t>(n), 0.0);
 
@@ -594,14 +574,45 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
 
   // The coordinator-owned replica receives the global delta sequence
   // exactly once, in (time, shard, node) order — the membership ground
-  // truth the sink-partition checks run against. Every shard keeps its
-  // own dense replica beside it (one byte per node, next to the
-  // whole-network router arrays the shard already holds).
+  // truth that routing and the sink-partition checks run against. Every
+  // shard keeps its own dense replica beside it (one byte per node).
   std::optional<net::LinkState> coord;
   if (has_links) {
     for (auto& st : states) st.links.emplace(n);
     coord.emplace(n);
   }
+
+  // One router per distinct radio graph, shared by every shard. Static
+  // membership gets the static providers (const queries). Membership runs
+  // route over the coordinator's replica: built here, before any worker
+  // queries, and refreshed by the barrier hook while workers are
+  // quiescent, so worker queries only ever read.
+  std::vector<const net::DynamicRouting*> dynamic;
+  const auto routes_over = [&](const net::ConnectivityGraph& graph)
+      -> std::unique_ptr<net::Router> {
+    if (!has_links && all_pairs)
+      return std::make_unique<net::RoutingTable>(graph);
+    if (!has_links)
+      return std::make_unique<net::ConvergecastRouting>(graph, sink);
+    net::NodeCostFn cost;
+    if (lifetime_routing)
+      cost = [&battery_fraction, weight = config.battery.lifetime_weight](
+                 net::NodeId v) {
+        return weight * battery_fraction[static_cast<std::size_t>(v)];
+      };
+    auto routes = std::make_unique<net::DynamicRouting>(
+        graph, sink, *coord, all_pairs, config.route_policy, cost);
+    routes->refresh();
+    dynamic.push_back(routes.get());
+    return routes;
+  };
+  std::unique_ptr<net::Router> low_routes;
+  std::unique_ptr<net::Router> high_routes;  // null when the graph is shared
+  if (needs_low) low_routes = routes_over(*low_graph);
+  if (needs_high && high_graph != low_graph)
+    high_routes = routes_over(*high_graph);
+  const net::Router* low_r = low_routes.get();
+  const net::Router* high_r = high_routes ? high_routes.get() : low_r;
 
   sim::ShardedSimulator::Params engine_params;
   engine_params.shards = shard_count;
@@ -674,9 +685,8 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
       if (lifetime_routing) {
         // Relays are re-priced every reroute_period: the refresh lands on
         // the first barrier at or past each grid point. Workers are
-        // quiescent, so reading live battery draw and touching every
-        // replica is race-free, and the refresh schedule is a pure
-        // function of (config, shard count).
+        // quiescent, so reading live battery draw is race-free, and the
+        // refresh schedule is a pure function of (config, shard count).
         while (next_reroute <= barrier_time) {
           for (int s = 0; s < shard_count; ++s) {
             const ShardState& st = states[static_cast<std::size_t>(s)];
@@ -688,10 +698,17 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
                     b->drawn() / b->capacity();
             }
           }
-          for (auto& st : states) st.links->touch();
+          coord->touch();
           next_reroute += config.battery.reroute_period;
         }
       }
+      for (const net::DynamicRouting* routes : dynamic) routes->refresh();
+      // Each owner applied its own mutations when they happened and
+      // queued them in the same event, so after a broadcast every replica
+      // must hold the coordinator's membership.
+      if (!batch.empty())
+        for (const auto& st : states)
+          BCP_ENSURE(st.links->same_membership(*coord));
     });
   }
 
@@ -711,28 +728,6 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
     const std::vector<net::NodeId>& owned_ids = map.owned_nodes(s);
     const std::size_t owned_n = owned_ids.size();
     const std::int32_t* lid_of = map.local_of.data();
-    if (has_links) {
-      net::NodeCostFn cost;
-      if (lifetime_routing)
-        cost = [&battery_fraction, weight = config.battery.lifetime_weight](
-                   net::NodeId v) {
-          return weight * battery_fraction[static_cast<std::size_t>(v)];
-        };
-      // Equal ranges share one graph, the shard's one replica and the
-      // cost function, hence one tree: build it once for both classes.
-      const auto dynamic = [&](const net::ConnectivityGraph& graph) {
-        return std::make_unique<net::DynamicRouting>(
-            graph, sink, *st.links, all_pairs, config.route_policy, cost);
-      };
-      if (needs_low) st.low_dyn = dynamic(*low_graph);
-      if (needs_high && high_graph != low_graph)
-        st.high_dyn = dynamic(*high_graph);
-    }
-    const net::Router* low_r =
-        has_links ? st.low_dyn.get() : low_routes.get();
-    const net::Router* high_r =
-        !has_links ? high_routes.get()
-                   : st.high_dyn ? st.high_dyn.get() : st.low_dyn.get();
     switch (config.model) {
       case EvalModel::kSensor: {
         const MacChoice choice = resolve_choice(
@@ -949,13 +944,6 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
 
   engine.run(config.duration);
 
-  // Every barrier (the settlement rounds' too) broadcast the deltas
-  // queued before it, so each shard's replica must have converged on the
-  // coordinator's membership.
-  if (has_links)
-    for (const auto& st : states)
-      BCP_ENSURE(st.links->same_membership(*coord));
-
   // ---- Collect on the caller's thread (the run's final barrier ordered
   // every shard's state before us), in ascending shard order.
   RunMetrics total;
@@ -970,8 +958,6 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
                st.batteries.size() ==
                    static_cast<std::size_t>(map.owned_count(s)));
     st.m.events_processed = engine.shard(s).processed_count();
-    st.m.route_rebuilds = (st.low_dyn ? st.low_dyn->rebuild_count() : 0) +
-                          (st.high_dyn ? st.high_dyn->rebuild_count() : 0);
     for (const auto& w : st.workloads) st.m.generated += w->generated();
     if (low_medium) add_channel_stats(st.m, low_medium->shard(s));
     if (high_medium) add_channel_stats(st.m, high_medium->shard(s));
@@ -994,6 +980,8 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
   total.boundary_frames =
       (low_medium ? low_medium->boundary_exports() : 0) +
       (high_medium ? high_medium->boundary_exports() : 0);
+  for (const net::DynamicRouting* routes : dynamic)
+    total.route_rebuilds += routes->rebuild_count();
   if (has_battery) {
     // The coordinator resolved the cross-shard lifetime metrics at the
     // barriers; "until first death / partition" degenerate to the whole

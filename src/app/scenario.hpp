@@ -147,8 +147,9 @@ struct ScenarioConfig {
   /// Deterministic node-churn / link-flap schedule (empty = the paper's
   /// static always-alive network). Executed as simulator events; crashed
   /// nodes cancel all pending MAC/BCP timers, routing re-converges on the
-  /// alive subgraph (see net::DynamicRouting), and recovery reboots them
-  /// with clean protocol state. Not supported for kWifiDutyCycled.
+  /// alive subgraph at the next window barrier (see net::DynamicRouting),
+  /// and recovery reboots them with clean protocol state. Not supported
+  /// for kWifiDutyCycled.
   sim::FaultPlanSpec faults;
 
   /// Finite per-node energy budgets (default off — the historical
@@ -237,9 +238,9 @@ struct RunMetrics {
   std::int64_t fault_recoveries_refused = 0;
   std::int64_t fault_link_downs = 0;
   std::int64_t fault_link_ups = 0;
-  /// Routing builds performed, one router per distinct graph per shard
-  /// (radio classes with equal ranges share one) — with the lazy
-  /// DynamicRouting this tracks membership changes, not queries.
+  /// Builds by the run's routers (one per distinct radio graph): the
+  /// first, then one per window barrier that moved membership or
+  /// re-priced relays; 0 without membership state.
   std::int64_t route_rebuilds = 0;
   std::int64_t bcp_packets_lost_to_crash = 0;
   std::int64_t mac_crash_drops = 0;
@@ -295,8 +296,9 @@ struct RunMetrics {
 /// and lifetime-aware routing work at every shard count via per-shard
 /// LinkState replicas synchronized by membership epochs at window
 /// barriers (a remote shard sees a membership change at most one
-/// exchange window late); TDMA MACs require shards == 1. Deterministic
-/// at a fixed shard count for any sim_threads.
+/// exchange window late, and routes follow at the barrier); TDMA MACs
+/// require shards == 1. Deterministic at a fixed shard count for any
+/// sim_threads.
 RunMetrics run_scenario(const ScenarioConfig& config);
 
 /// Runs `runs` independent replications (seeds config.seed, config.seed+1,

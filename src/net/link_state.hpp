@@ -5,7 +5,8 @@
 // hearer loop, the routers' BFS — consults a LinkState instead of mutating
 // the graph. Membership is a property of the node, not of a radio, so a
 // scenario keeps one replica per shard that both radio classes' channel
-// partitions and routers read. Three design points:
+// partitions read, plus a coordinator replica that the run's routers
+// read. Three design points:
 //
 //   * The hot path stays free: `link_up` answers through an all-up fast
 //     path (one branch) while nothing is down, which is every frame of a
@@ -22,8 +23,7 @@
 // and does not bump the revision.
 //
 // The layout is dense: one byte per node plus a hash set of explicitly
-// downed pairs. A scenario shard's replica costs n bytes next to the
-// whole-network DynamicRouting arrays the same shard already holds.
+// downed pairs, so a scenario shard's replica costs n bytes.
 #pragma once
 
 #include <cstdint>

@@ -473,7 +473,7 @@ DynamicRouting::DynamicRouting(const ConnectivityGraph& graph, NodeId sink,
                   "lifetime-aware routing needs a node cost function");
 }
 
-const Router& DynamicRouting::current() const {
+const Router& DynamicRouting::refresh() const {
   if (rebuilds_ == 0 || built_revision_ != links_.revision()) {
     if (use_table_) {
       if (table_)
@@ -495,7 +495,7 @@ const Router& DynamicRouting::current() const {
 
 const ConvergecastRouting& DynamicRouting::tree() const {
   BCP_REQUIRE_MSG(!use_table_, "all-pairs DynamicRouting has no tree");
-  current();
+  refresh();
   return *tree_;
 }
 

@@ -192,9 +192,10 @@ class ConvergecastRouting final : public Router {
 /// changes are as cheap as the static providers; a crash/recover burst
 /// that flips k nodes costs one rebuild at the next query, not k. The
 /// router owns its tree (or tables) and rebuilds it in place, so a warm
-/// rebuild allocates nothing. A scenario keeps one per shard per distinct
-/// radio graph: radio classes with equal ranges share the graph, the
-/// shard's one membership replica and the cost function, hence one tree.
+/// rebuild allocates nothing. A scenario run keeps one per distinct radio
+/// graph over the coordinator's membership replica and refreshes it at
+/// window barriers, while no worker queries it; radio classes with equal
+/// ranges share the graph and the cost function, hence one tree.
 class DynamicRouting final : public Router {
  public:
   /// `graph` and `links` must outlive the router. `all_pairs` picks the
@@ -209,10 +210,10 @@ class DynamicRouting final : public Router {
                  NodeCostFn cost = nullptr);
 
   NodeId next_hop(NodeId from, NodeId to) const override {
-    return current().next_hop(from, to);
+    return refresh().next_hop(from, to);
   }
   int hops(NodeId from, NodeId to) const override {
-    return current().hops(from, to);
+    return refresh().hops(from, to);
   }
   int node_count() const override { return graph_.node_count(); }
 
@@ -220,13 +221,16 @@ class DynamicRouting final : public Router {
   /// Requires the tree strategy (not all-pairs tables).
   const ConvergecastRouting& tree() const;
 
-  /// Underlying builds performed so far (1 after the first query; +1 per
-  /// effective LinkState change that a later query observed).
+  /// Underlying builds performed so far (1 after the first query or
+  /// refresh; +1 per revision move that a later one observed).
   std::int64_t rebuild_count() const { return rebuilds_; }
 
- private:
-  const Router& current() const;
+  /// Rebuilds now if the LinkState revision moved, and returns the tree
+  /// (or tables). A router shared across threads is refreshed after each
+  /// membership change, so the queries in between only read.
+  const Router& refresh() const;
 
+ private:
   const ConnectivityGraph& graph_;
   NodeId sink_;
   const LinkState& links_;

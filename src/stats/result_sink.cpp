@@ -192,11 +192,11 @@ std::string ResultSink::to_json(const std::string& bench_name) const {
     }
     // Sharded runs carry the process peak RSS in their meta automatically:
     // the partition memory model (stripe-local channels, nodes, workloads
-    // and batteries; a dense membership replica and router per shard in
-    // membership runs) is only auditable if every sharded BENCH_*.json
-    // records it. Sampled at export (after the
-    // runs); unsharded exports stay byte-identical to the historical
-    // format, so the figure/table goldens are untouched.
+    // and batteries; a dense membership replica per shard in membership
+    // runs) is only auditable if every sharded BENCH_*.json records it.
+    // Sampled at export (after the runs); unsharded exports stay
+    // byte-identical to the historical format, so the figure/table
+    // goldens are untouched.
     if (sharded && !has_rss) {
       out += ", ";
       append_quoted(out, "peak_rss_mib");

@@ -13,13 +13,20 @@
 // single-queue engine before it was deleted. A mismatch prints the full
 // fingerprint and the golden line to review.
 //
-// Cells pinned at values the single-queue engine did NOT produce are the
-// six lifetime-routing cells, each marked at its golden below. The
-// partition engine re-prices relays from a battery snapshot taken at the
-// window barriers on the reroute_period grid; the single queue scheduled
-// one tick event per period instead. At this 60 s point the routes,
-// deaths and every metric still match — only events_processed drops by
-// the six tick events.
+// Cells pinned at values the single-queue engine did NOT produce are
+// marked at their goldens below, for one of two reasons:
+//
+//   * Barrier re-pricing (the six lifetime-routing cells). The partition
+//     engine re-prices relays from a battery snapshot taken at the window
+//     barriers on the reroute_period grid; the single queue scheduled one
+//     tick event per period instead. At this 60 s point the routes,
+//     deaths and every metric still match — only events_processed drops
+//     by the six tick events.
+//   * Barrier rerouting (three lifetime cells whose nodes die). Routes
+//     follow the run's one router over the coordinator's membership
+//     replica, refreshed at window barriers, so a death reroutes traffic
+//     at the next barrier (< one 20 ms window) rather than at the death
+//     itself. Channels still drop the dead node at once.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -211,14 +218,17 @@ constexpr Golden kGoldens[] = {
     {"lifetime_mh_wifi_routing", 0x2122b58a7055115cull},
     {"lifetime_mh_sensor_base", 0xfd795fc93e8b96abull},
     {"lifetime_mh_sensor_loss", 0x97fab2802f42aaadull},
-    {"lifetime_mh_sensor_deaths", 0xc162a4911adfe48aull},
+    // Barrier rerouting: a death reroutes at the next barrier.
+    {"lifetime_mh_sensor_deaths", 0x93e768070e876cbfull},
     // Barrier re-pricing: 6 fewer events than the single queue.
     {"lifetime_mh_sensor_routing", 0x951e0acc815a9784ull},
     {"lifetime_mh_wifi_duty_base", 0xc36d1e7c7d3e70f2ull},
     {"lifetime_mh_wifi_duty_loss", 0xa51f25bb12582c02ull},
-    {"lifetime_mh_wifi_duty_deaths", 0x0860991717988042ull},
+    // Barrier rerouting: a death reroutes at the next barrier.
+    {"lifetime_mh_wifi_duty_deaths", 0x34fcef31c3ab6ca2ull},
     // Barrier re-pricing: 6 fewer events than the single queue.
-    {"lifetime_mh_wifi_duty_routing", 0x0860991717988042ull},
+    // Barrier rerouting: a death reroutes at the next barrier.
+    {"lifetime_mh_wifi_duty_routing", 0x34fcef31c3ab6ca2ull},
     {"lifetime_lossy_mh_dual_base", 0x7681eef89a4abb59ull},
     {"lifetime_lossy_mh_dual_loss", 0x99b5dc9dd0ccbbe0ull},
     {"lifetime_lossy_mh_dual_deaths", 0xec4a47b8e01e66baull},

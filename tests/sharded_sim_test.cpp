@@ -624,6 +624,28 @@ TEST(ShardedScenario, FaultChurnRunsShardedAndIsThreadCountInvariant) {
             inline_run.chan_rx_ends + inline_run.chan_rx_live_at_end);
 }
 
+// A run keeps one router per distinct radio graph over the coordinator's
+// membership replica, refreshed at window barriers. Fault-plan events
+// fire at the same instants at every shard count, so a fault-only run
+// rebuilds its routes equally often however it is partitioned or
+// threaded: one first build per graph, then one per graph for each
+// barrier whose batch changed membership.
+TEST(ShardedScenario, FaultOnlyRouteRebuildsAreShardAndThreadCountInvariant) {
+  app::ScenarioConfig churn = sharded_config(1, 1);
+  churn.faults.node_crashes = 3;
+  churn.faults.link_flaps = 2;
+  const std::int64_t expected = app::run_scenario(churn).route_rebuilds;
+  EXPECT_GT(expected, 1);
+  for (const int shards : {1, 2, 4}) {
+    for (const int threads : {1, 2}) {
+      churn.shards = shards;
+      churn.sim_threads = threads;
+      EXPECT_EQ(app::run_scenario(churn).route_rebuilds, expected)
+          << shards << " shards, " << threads << " threads";
+    }
+  }
+}
+
 TEST(ShardedScenario, ChurnPlusBatteriesRunShardedWithDeathsAccounted) {
   app::ScenarioConfig config = sharded_config(4, 1);
   config.faults.node_crashes = 2;
@@ -655,7 +677,7 @@ TEST(ShardedScenario, LifetimeRoutingRunsSharded) {
   const app::RunMetrics threaded_run = app::run_scenario(config);
   expect_same_metrics(inline_run, threaded_run);
   EXPECT_GT(inline_run.delivered, 0);
-  // The coordinator's reroute tick touches every replica on the
+  // The coordinator's reroute tick touches its replica on the
   // reroute_period grid, so routing rebuilds keep happening mid-run.
   EXPECT_GT(inline_run.route_rebuilds, 0);
 }
@@ -812,7 +834,10 @@ TEST(ShardedScenario, ShardCountAboveNodeCountIsRejected) {
 // These values were captured on the globally-sized (pre stripe-local)
 // partitions; the stripe-local refactor must reproduce every one of them
 // bit for bit. A mismatch means the id translation changed behavior, not
-// just layout.
+// just layout. The churn golden was re-pinned once since, when routing
+// moved to one coordinator-owned router per graph: a membership change
+// now reroutes at the next barrier, also at the owning shard, and the run
+// builds its routes once per barrier instead of once per shard.
 
 app::ScenarioConfig golden_grid_config(int nodes, int shards, double duration,
                                        int senders) {
@@ -886,15 +911,15 @@ TEST(ShardedGolden, Churn900Nodes4ShardsWithBatteriesIsBytePinned) {
   const app::RunMetrics m = app::run_scenario(cfg);
   EXPECT_EQ(m.generated, 4689);
   EXPECT_EQ(m.delivered, 130);
-  EXPECT_EQ(m.events_processed, 42143u);
+  EXPECT_EQ(m.events_processed, 42168u);
   EXPECT_EQ(m.boundary_frames, 2411);
   EXPECT_EQ(m.fault_node_crashes, 6);
   EXPECT_EQ(m.fault_node_recoveries, 6);
   EXPECT_EQ(m.battery_deaths, 9);
   EXPECT_EQ(m.time_to_first_death, 7.3244032790697666);
-  EXPECT_EQ(m.route_rebuilds, 119);
+  EXPECT_EQ(m.route_rebuilds, 44);
   EXPECT_EQ(m.goodput, 0.027724461505651526);
-  EXPECT_EQ(m.normalized_energy, 1.2236367146638714);
+  EXPECT_EQ(m.normalized_energy, 1.2236990223561792);
 }
 
 TEST(ShardedScenario, TdmaIsRejected) {
