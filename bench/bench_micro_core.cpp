@@ -10,7 +10,10 @@
 // visible here as a number instead of a silent slowdown.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 
 #include "app/scenario.hpp"
 #include "core/bulk_buffer.hpp"
@@ -22,6 +25,7 @@
 #include "net/topology.hpp"
 #include "phy/channel.hpp"
 #include "phy/frame.hpp"
+#include "sim/sharded_simulator.hpp"
 #include "sim/simulator.hpp"
 // Replaces this binary's global operator new/delete with counting hooks
 // (covers every C++ allocation: vectors, maps, closures) — exactly what
@@ -327,6 +331,31 @@ void BM_DynamicRoutingRebuild(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_DynamicRoutingRebuild);
+
+/// The sharded engine's per-window cost with nothing to dispatch: 8
+/// empty shards at `threads` = range(0), so the time is the job hand-off,
+/// the barrier between parity phases and the per-shard bookkeeping.
+/// `us_per_window` is wall time (the caller may park while the workers
+/// run), including the two settlement rounds every run() ends with.
+void BM_ShardedEmptyWindows(benchmark::State& state) {
+  constexpr int kWindows = 1000;
+  sim::ShardedSimulator engine(
+      {8, static_cast<int>(state.range(0)), 0.02});
+  std::int64_t windows = 0;
+  double seconds = 0;
+  for (auto _ : state) {
+    const std::int64_t before = engine.current_window();
+    const auto t0 = std::chrono::steady_clock::now();
+    engine.run(engine.window() * static_cast<double>(before + kWindows));
+    seconds += std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+    windows += engine.current_window() - before;
+  }
+  state.counters["us_per_window"] =
+      seconds * 1e6 / static_cast<double>(std::max<std::int64_t>(windows, 1));
+}
+BENCHMARK(BM_ShardedEmptyWindows)->Arg(1)->Arg(4)->UseRealTime();
 
 void BM_ScenarioDualRadioShort(benchmark::State& state) {
   for (auto _ : state) {

@@ -8,11 +8,10 @@
 // (net::MessagePool) are thread-local, so everything a shard owns —
 // nodes, workloads, channel partitions, pending events — is constructed,
 // run, and destroyed on the shard's pinned worker thread via
-// for_each_shard phases (setup → run → teardown). Metrics are read on
-// the caller's thread between the run and teardown phases (the engine's
-// barriers order those reads) and merged in ascending shard order, so
-// the result is a pure function of (config, shard count) — sim_threads
-// never changes a byte of output.
+// for_each_shard phases (setup → run → collect → teardown). Each shard
+// folds its own metrics in the collect phase, and the caller merges the
+// folds in ascending shard order, so the result is a pure function of
+// (config, shard count) — sim_threads never changes a byte of output.
 //
 // Membership epochs: fault/churn and finite batteries mutate LinkState
 // membership mid-run, which a single shared LinkState cannot survive
@@ -204,6 +203,9 @@ void add_channel_stats(RunMetrics& m, const phy::Channel& channel) {
   m.chan_rx_ends += channel.stats().deliveries_clean +
                     channel.stats().deliveries_corrupt;
   m.chan_rx_live_at_end += channel.live_arrivals();
+  m.late_boundary_frames += channel.late_boundary_frames();
+  m.boundary_lateness_max_s =
+      std::max(m.boundary_lateness_max_s, channel.boundary_lateness_max());
 }
 
 void add_tdma_stats(RunMetrics& m, const mac::Mac& mc) {
@@ -359,7 +361,7 @@ void merge_metrics(RunMetrics& total, const RunMetrics& part) {
   // Field-coverage tripwire: adding a RunMetrics field changes this size,
   // and the build fails here until the field gets a merge rule below (and
   // a case in the merge-coverage test). Update the expected size last.
-  static_assert(sizeof(void*) != 8 || sizeof(RunMetrics) == 448,
+  static_assert(sizeof(void*) != 8 || sizeof(RunMetrics) == 464,
                 "RunMetrics changed: give every new field a merge rule in "
                 "detail::merge_metrics and tests/merge_metrics_test.cpp's "
                 "coverage case, then update this expected size");
@@ -435,11 +437,14 @@ void merge_metrics(RunMetrics& total, const RunMetrics& part) {
       total.battery_max_drawn_fraction, part.battery_max_drawn_fraction);
 
   // Partition visibility: per-shard event counts concatenate; the
-  // boundary export count sums.
+  // boundary export and late-frame counts sum; the lateness takes the max.
   total.shard_events.insert(total.shard_events.end(),
                             part.shard_events.begin(),
                             part.shard_events.end());
   total.boundary_frames += part.boundary_frames;
+  total.late_boundary_frames += part.late_boundary_frames;
+  total.boundary_lateness_max_s =
+      std::max(total.boundary_lateness_max_s, part.boundary_lateness_max_s);
 }
 
 }  // namespace detail
@@ -944,11 +949,10 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
 
   engine.run(config.duration);
 
-  // ---- Collect on the caller's thread (the run's final barrier ordered
-  // every shard's state before us), in ascending shard order.
-  RunMetrics total;
-  double delay_sum = 0;
-  for (int s = 0; s < shard_count; ++s) {
+  // ---- Collect: each shard folds its own nodes on its pinned thread (the
+  // run's final barrier ordered every shard's state before this job);
+  // the caller then merges the folds in ascending shard order.
+  engine.for_each_shard([&](int s) {
     ShardState& st = states[static_cast<std::size_t>(s)];
     // Memory-model invariant: exactly one node family is populated, and
     // every per-shard node-indexed vector is stripe-local, not global.
@@ -973,6 +977,10 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
           std::max(st.m.battery_max_drawn_fraction,
                    battery->drawn() / battery->capacity());
     }
+  });
+  RunMetrics total;
+  double delay_sum = 0;
+  for (const ShardState& st : states) {
     detail::merge_metrics(total, st.m);
     total.shard_events.push_back(st.m.events_processed);
     delay_sum += st.delay_sum;

@@ -288,6 +288,13 @@ struct RunMetrics {
   /// Frames that crossed a stripe edge (each counted once per
   /// destination shard, both radio classes); 0 at one partition.
   std::int64_t boundary_frames = 0;
+  /// Injected boundary frames that had already started on the receiving
+  /// shard's clock (the window relaxation: every direction but even →
+  /// adjacent odd), and the largest such lateness in seconds (< one
+  /// shard_window). Both 0 at one partition; NOT part of
+  /// standard_metrics.
+  std::int64_t late_boundary_frames = 0;
+  double boundary_lateness_max_s = 0;
 };
 
 /// Runs one scenario to completion and reports its metrics: one

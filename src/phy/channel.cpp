@@ -241,6 +241,13 @@ void Channel::inject_remote(RemoteFrame rf) {
     tx_slots_[slot].finish_event =
         sim_.schedule_at(rf.start, [this, tx_id] { begin_remote(tx_id); });
   } else {
+    // Already begun here: re-enacted late (every direction but even →
+    // adjacent odd), by less than one exchange window.
+    if (rf.start < sim_.now()) {
+      ++late_boundary_frames_;
+      boundary_lateness_max_ =
+          std::max(boundary_lateness_max_, sim_.now() - rf.start);
+    }
     begin_remote(tx_id);
   }
 }

@@ -241,6 +241,12 @@ class Channel {
 
   /// Boundary frames this shard exported (0 when sharding is off).
   std::int64_t boundary_exports() const { return boundary_exports_; }
+  /// Injected boundary frames that had already started on this shard's
+  /// clock, and the largest such lateness (0 when sharding is off).
+  std::int64_t late_boundary_frames() const { return late_boundary_frames_; }
+  util::Seconds boundary_lateness_max() const {
+    return boundary_lateness_max_;
+  }
 
   /// Crash support: the node's in-flight transmission (if any) is
   /// truncated mid-air — corrupt for every hearer, and the carrier dies
@@ -358,6 +364,8 @@ class Channel {
   std::int32_t my_shard_ = 0;
   BoundaryEmit boundary_emit_;
   std::int64_t boundary_exports_ = 0;
+  std::int64_t late_boundary_frames_ = 0;
+  util::Seconds boundary_lateness_max_ = 0;
   // start_tx scratch: destination shards of the current frame (deduped).
   std::vector<std::uint8_t> remote_seen_;
   std::vector<std::int32_t> remote_dsts_;

@@ -113,33 +113,36 @@ void shrink_slack(std::vector<T>& v, std::size_t used) {
 }  // namespace
 
 void ShardedMedium::drain(int s, std::int64_t window) {
+  // Which buffer of (src → s) is quiescent while s runs window k? Even
+  // writers fill buf[k&1] during the even phase of window k; an odd
+  // reader draining in the same window's odd phase takes exactly that
+  // buffer (the exact-timing path — the barrier between phases makes it
+  // safe). Every other direction reads the previous window's buffer: the
+  // writer is either running the same phase (and writing buf[k&1]) or ran
+  // after the reader's parity last window — both leave buf[(k-1)&1]
+  // untouched this phase. Each buffer is drained exactly one window after
+  // it is filled, before its writer cycles back to it.
+  const auto inbox = [&](int src) -> std::vector<Channel::RemoteFrame>& {
+    const std::int64_t w =
+        (src % 2 == 0 && s % 2 == 1) ? window : window - 1;
+    return mail(src, s).buf[static_cast<std::size_t>(w & 1)];
+  };
+  // Most windows carry no boundary traffic: skip the merge outright.
+  bool any = false;
+  for (int src = 0; src < count_ && !any; ++src)
+    any = src != s && !inbox(src).empty();
+  if (!any) return;
   auto& scratch = scratch_[static_cast<std::size_t>(s)];
   scratch.clear();
   for (int src = 0; src < count_; ++src) {
     if (src == s) continue;
-    // Which buffer of (src → s) is quiescent while s runs window k?
-    // Even writers fill buf[k&1] during the even phase of window k; an
-    // odd reader draining in the same window's odd phase takes exactly
-    // that buffer (the exact-timing path — the barrier between phases
-    // makes it safe). Every other direction reads the previous window's
-    // buffer: the writer is either running the same phase (and writing
-    // buf[k&1]) or ran after the reader's parity last window — both
-    // leave buf[(k-1)&1] untouched this phase. Each buffer is drained
-    // exactly one window after it is filled, before its writer cycles
-    // back to it.
-    const std::int64_t w =
-        (src % 2 == 0 && s % 2 == 1) ? window : window - 1;
-    auto& buf = mail(src, s).buf[static_cast<std::size_t>(w & 1)];
+    auto& buf = inbox(src);
     const std::size_t used = buf.size();
     for (auto& rf : buf) scratch.push_back(Tagged{std::move(rf), src});
     buf.clear();
     // Reader-side shrink is safe: this buffer's writer does not touch it
     // again until the next window's opposite phase.
     shrink_slack(buf, used);
-  }
-  if (scratch.empty()) {
-    shrink_slack(scratch, 0);
-    return;
   }
   // Canonical merge order: frames from one source shard are already in
   // emission (time) order; a stable sort by (start, source shard) makes

@@ -1,6 +1,7 @@
 #include "sim/sharded_simulator.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "util/assert.hpp"
 
@@ -8,18 +9,22 @@ namespace bcp::sim {
 
 namespace {
 
-/// Bounded spin before yielding: phases are short (a window of events),
-/// so the first iterations usually catch the flip without a syscall; the
-/// yield keeps oversubscribed machines (tests run threads > cores) live.
-template <typename Pred>
-void spin_until(Pred&& ready) {
-  int spins = 0;
-  while (!ready()) {
-    if (++spins >= 256) {
-      std::this_thread::yield();
-      spins = 0;
-    }
-  }
+/// How long a waiter spins before it parks. Back-to-back windows hand off
+/// within a microsecond, and the coordinator's gap between windows (the
+/// barrier hook: membership batches, route refreshes) runs to a few
+/// hundred microseconds; a waiter that parked through those would put a
+/// futex wake-up on the critical path of every window (a 50 µs budget
+/// parked in 2 of 3 windows of a 2,500-node churn run and cost ~20% wall
+/// time). Longer waits — setup imbalance, media builds, metric
+/// collection, slow hooks — park and free the core.
+constexpr std::chrono::microseconds kSpinBudget{1000};
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
 }
 
 /// Hardware threads, read once per process: the query reads system files
@@ -47,22 +52,20 @@ ShardedSimulator::ShardedSimulator(Params params) {
   for (int s = 0; s < shards_; ++s)
     sims_.push_back(std::make_unique<Simulator>());
   drains_.resize(static_cast<std::size_t>(shards_));
-  if (threads_ > 1) {
-    workers_.reserve(static_cast<std::size_t>(threads_));
-    for (int w = 0; w < threads_; ++w)
-      workers_.emplace_back([this, w] { worker_loop(w); });
-  }
+  // The caller is worker 0; spawn the rest.
+  workers_.reserve(static_cast<std::size_t>(threads_ - 1));
+  for (int w = 1; w < threads_; ++w)
+    workers_.emplace_back([this, w] { worker_loop(w); });
 }
 
 ShardedSimulator::~ShardedSimulator() {
-  if (!workers_.empty()) {
-    Job job;
-    job.kind = Job::kExit;
-    done_count_.store(0, std::memory_order_relaxed);
-    job_ = job;
-    job_epoch_.fetch_add(1, std::memory_order_release);
-    for (auto& t : workers_) t.join();
-  }
+  if (workers_.empty()) return;
+  Job exit;
+  exit.kind = Job::kExit;
+  job_ = exit;
+  job_epoch_.fetch_add(1);
+  wake();
+  for (auto& t : workers_) t.join();
 }
 
 void ShardedSimulator::set_drain(int s, DrainHook hook) {
@@ -70,62 +73,120 @@ void ShardedSimulator::set_drain(int s, DrainHook hook) {
   drains_[static_cast<std::size_t>(s)] = std::move(hook);
 }
 
+template <typename Pred>
+void ShardedSimulator::await(Pred&& ready) {
+  if (ready()) return;
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+  for (unsigned i = 1;; ++i) {
+    cpu_relax();
+    if (ready()) return;
+    // Read the clock only every 64 spins (a few µs).
+    if (i % 64 == 0 && std::chrono::steady_clock::now() >= deadline) break;
+  }
+  std::unique_lock<std::mutex> lock(park_mutex_);
+  parked_.fetch_add(1);
+  park_cv_.wait(lock, ready);
+  parked_.fetch_sub(1);
+}
+
+void ShardedSimulator::wake() {
+  if (parked_.load() == 0) return;
+  // A parker holds the mutex from its increment until it sleeps, so once
+  // we get the mutex it is either asleep (and hears the notify) or has
+  // not yet made its final check (and sees the new state).
+  { const std::lock_guard<std::mutex> lock(park_mutex_); }
+  park_cv_.notify_all();
+}
+
 void ShardedSimulator::worker_loop(int worker) {
   std::uint64_t seen = 0;
   for (;;) {
-    spin_until([&] {
-      return job_epoch_.load(std::memory_order_acquire) != seen;
-    });
+    await([&] { return job_epoch_.load() != seen; });
     ++seen;
     if (job_.kind == Job::kExit) return;  // dtor joins; no done signal needed
-    const Job job = job_;
-    try {
-      execute(worker, job);
-    } catch (...) {
-      record_error();
-    }
-    done_count_.fetch_add(1, std::memory_order_release);
+    run_share(worker, job_);
+    done_count_.fetch_add(1);
+    wake();
   }
 }
 
 void ShardedSimulator::record_error() {
   const std::lock_guard<std::mutex> lock(error_mutex_);
   if (!first_error_) first_error_ = std::current_exception();
+  failed_.store(true);
 }
 
-void ShardedSimulator::execute(int worker, const Job& job) {
-  for (int s = 0; s < shards_; ++s) {
-    if (threads_ > 1 && owner_thread(s) != worker) continue;
-    if (job.kind == Job::kPhase) {
-      if ((s & 1) != job.parity) continue;
-      auto& drain = drains_[static_cast<std::size_t>(s)];
-      if (drain) drain(job.window);
-      sims_[static_cast<std::size_t>(s)]->run_until(job.end);
-    } else {
-      (*job.fn)(s);
-    }
+void ShardedSimulator::run_phase(int worker, int parity, const Job& job) {
+  for (int s = 2 * worker + parity; s < shards_; s += 2 * threads_) {
+    auto& drain = drains_[static_cast<std::size_t>(s)];
+    if (drain) drain(job.window);
+    sims_[static_cast<std::size_t>(s)]->run_until(job.end);
   }
+}
+
+void ShardedSimulator::run_all(int worker,
+                               const std::function<void(int)>& fn) {
+  for (int s = 2 * worker; s < shards_; s += 2 * threads_) {
+    fn(s);
+    if (s + 1 < shards_) fn(s + 1);
+  }
+}
+
+void ShardedSimulator::arrive_and_wait() {
+  // The sense cannot flip before this thread arrives, so reading it first
+  // is race-free. The last arrival resets the count, then flips the sense.
+  const std::uint32_t sense = barrier_sense_.load();
+  if (barrier_count_.fetch_add(1) + 1 == threads_) {
+    barrier_count_.store(0, std::memory_order_relaxed);
+    barrier_sense_.store(sense + 1);
+    wake();
+  } else {
+    await([&] { return barrier_sense_.load() != sense; });
+  }
+}
+
+void ShardedSimulator::run_share(int worker, const Job& job) {
+  const auto guarded = [this](auto&& body) {
+    try {
+      body();
+    } catch (...) {
+      record_error();
+    }
+  };
+  if (job.kind == Job::kAll) {
+    guarded([&] { run_all(worker, *job.fn); });
+    return;
+  }
+  guarded([&] { run_phase(worker, 0, job); });
+  arrive_and_wait();
+  if (!failed_.load()) guarded([&] { run_phase(worker, 1, job); });
 }
 
 void ShardedSimulator::dispatch(const Job& job) {
   if (workers_.empty()) {
-    execute(0, job);
-  } else {
-    done_count_.store(0, std::memory_order_relaxed);
-    job_ = job;
-    job_epoch_.fetch_add(1, std::memory_order_release);
-    spin_until([&] {
-      return done_count_.load(std::memory_order_acquire) == threads_;
-    });
-  }
-  if (first_error_) {
-    std::exception_ptr err;
-    {
-      const std::lock_guard<std::mutex> lock(error_mutex_);
-      std::swap(err, first_error_);
+    if (job.kind == Job::kAll) {
+      run_all(0, *job.fn);
+    } else {
+      run_phase(0, 0, job);
+      run_phase(0, 1, job);
     }
-    std::rethrow_exception(err);
+    return;
   }
+  job_ = job;
+  done_count_.store(0, std::memory_order_relaxed);
+  job_epoch_.fetch_add(1);
+  wake();
+  run_share(0, job_);
+  const int others = threads_ - 1;
+  await([&] { return done_count_.load() == others; });
+  if (!failed_.load()) return;
+  std::exception_ptr err;
+  {
+    const std::lock_guard<std::mutex> lock(error_mutex_);
+    std::swap(err, first_error_);
+    failed_.store(false);
+  }
+  std::rethrow_exception(err);
 }
 
 void ShardedSimulator::for_each_shard(const std::function<void(int)>& fn) {
@@ -137,12 +198,9 @@ void ShardedSimulator::for_each_shard(const std::function<void(int)>& fn) {
 
 void ShardedSimulator::step_window(util::Seconds end) {
   Job job;
-  job.kind = Job::kPhase;
+  job.kind = Job::kWindow;
   job.window = window_index_;
   job.end = end;
-  job.parity = 0;
-  dispatch(job);
-  job.parity = 1;
   dispatch(job);
   if (barrier_hook_) barrier_hook_(window_index_, end);
   ++window_index_;

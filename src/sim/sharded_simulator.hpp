@@ -42,15 +42,28 @@
 // across thread counts. The suite's sharded determinism test pins this.
 //
 // Threading model: shard s is pinned to worker (s/2) % threads (the /2
-// keeps each worker loaded in both parity phases). All shard state —
-// nodes, channels, pooled message payloads (net::MessagePool is
-// thread-local) — must be created, used, and destroyed on that worker:
-// run setup and teardown through for_each_shard, which executes a
-// callback for every shard on its pinned thread. threads == 1 runs
-// everything inline on the caller's thread in ascending shard order.
+// keeps each worker loaded in both parity phases). The calling thread is
+// worker 0, so the engine spawns exactly threads - 1 OS threads and a run
+// never has more busy threads than `threads`. All shard state — nodes,
+// channels, pooled message payloads (net::MessagePool is thread-local) —
+// must be created, used, and destroyed on the shard's worker: run setup
+// and teardown through for_each_shard, which executes a callback for
+// every shard on its pinned thread (worker 0's shards on the caller).
+// threads == 1 runs everything inline on the caller's thread in ascending
+// shard order.
+//
+// Hand-offs: each window is ONE job — both parity phases, separated by an
+// intra-job sense-reversing barrier — so a window costs one publish and
+// one completion wait. A thread with nothing to do spins on `pause` for
+// up to a millisecond and then parks on a condition variable; a
+// publisher notifies only when somebody is actually parked (a seq_cst
+// handshake on the parked count). Back-to-back windows therefore make no
+// syscall, and workers idle for long (while the caller builds media or
+// runs a slow barrier hook) hold no core.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -68,8 +81,9 @@ class ShardedSimulator {
  public:
   struct Params {
     int shards = 2;
-    /// Worker threads; 0 = auto (half the shard count, capped at the
-    /// hardware), 1 = run every shard inline on the calling thread.
+    /// Worker threads, the calling thread included; 0 = auto (half the
+    /// shard count, capped at the hardware), 1 = run every shard inline on
+    /// the calling thread.
     /// Clamped to ceil(shards/2) — parity phases can never keep more
     /// workers busy than that.
     int threads = 0;
@@ -85,7 +99,8 @@ class ShardedSimulator {
 
   int shard_count() const { return shards_; }
   util::Seconds window() const { return window_; }
-  /// Worker a shard is pinned to (0 when running inline).
+  /// Worker a shard is pinned to; worker 0 is the calling thread (and the
+  /// only one when running inline).
   int owner_thread(int s) const {
     return threads_ > 1 ? (s / 2) % threads_ : 0;
   }
@@ -110,19 +125,21 @@ class ShardedSimulator {
   /// Coordinator barrier hook: runs on the calling thread after both
   /// parity phases of a window have finished and before the next window
   /// starts, with the just-completed window index and the barrier time
-  /// every shard has reached. Workers are quiescent here (spinning on the
-  /// job epoch), and the dispatch acquire/release pairs order all shard
-  /// writes before the hook and all hook writes before the next phase —
-  /// so the hook may read and mutate any shard state without extra
-  /// synchronization. This is where membership epochs (fault/churn and
-  /// battery-death deltas) are published to every shard's LinkState
-  /// replica. Also fires after each settlement round at the horizon.
+  /// every shard has reached. Workers are quiescent here (spinning on, or
+  /// parked waiting for, the next job epoch), and the dispatch hand-off
+  /// orders all shard writes before the hook and all hook writes before
+  /// the next window — so the hook may read and mutate any shard state
+  /// without extra synchronization. This is where membership epochs
+  /// (fault/churn and battery-death deltas) are published to every
+  /// shard's LinkState replica. Also fires after each settlement round at
+  /// the horizon.
   using BarrierHook = std::function<void(std::int64_t window, util::Seconds barrier_time)>;
   void set_barrier_hook(BarrierHook hook) { barrier_hook_ = std::move(hook); }
 
   /// Runs fn(shard) for every shard on its pinned worker thread,
   /// concurrently across workers; returns when all shards are done. The
-  /// first exception thrown by any shard is rethrown here.
+  /// first exception thrown by any shard is rethrown here, only after
+  /// every worker has finished its share.
   void for_each_shard(const std::function<void(int shard)>& fn);
 
   /// Advances every shard to `horizon` window by window, then runs two
@@ -135,21 +152,34 @@ class ShardedSimulator {
 
  private:
   struct Job {
-    enum Kind { kPhase, kAll, kExit };
+    enum Kind { kWindow, kAll, kExit };
     Kind kind = kAll;
-    int parity = 0;
     std::int64_t window = 0;
     util::Seconds end = 0;
     const std::function<void(int)>* fn = nullptr;
   };
 
   void worker_loop(int worker);
-  void execute(int worker, const Job& job);
-  /// Publishes `job` to the workers and blocks until all have finished it
-  /// (or executes it inline when there are no workers).
+  /// Runs worker `worker`'s shards of one parity phase / of fn.
+  void run_phase(int worker, int parity, const Job& job);
+  void run_all(int worker, const std::function<void(int)>& fn);
+  /// One worker's whole share of a published job; records (never throws)
+  /// errors, and always reaches the window job's intra-job barrier.
+  void run_share(int worker, const Job& job);
+  /// Inline: runs `job` on the caller. Otherwise publishes it, runs worker
+  /// 0's share on the caller, and waits until every worker has finished;
+  /// then rethrows the first recorded error.
   void dispatch(const Job& job);
   void step_window(util::Seconds end);
   void record_error();
+  /// Sense-reversing barrier over all `threads_` participants.
+  void arrive_and_wait();
+  /// Spins on `pause` for a bounded budget, then parks until ready().
+  template <typename Pred>
+  void await(Pred&& ready);
+  /// Wakes parked threads after a seq_cst state change; no syscall when
+  /// nobody is parked.
+  void wake();
 
   int shards_ = 0;
   int threads_ = 0;
@@ -160,16 +190,28 @@ class ShardedSimulator {
   std::vector<DrainHook> drains_;
   BarrierHook barrier_hook_;
 
-  // Worker rendezvous: the caller publishes job_ then release-bumps
-  // job_epoch_; each worker acquire-spins on the epoch, runs its shards,
-  // and release-bumps done_count_. The acquire/release pairs order every
+  // Worker rendezvous: the caller publishes job_ then bumps job_epoch_;
+  // each worker waits for the epoch, runs its shards, and bumps
+  // done_count_. These seq_cst read-modify-writes and loads order every
   // plain field (job_, window_index_, all shard state) across the
-  // barrier. Workers are only ever spinning or working between dispatch
-  // calls, so the caller may freely mutate shared state in between.
-  std::vector<std::thread> workers_;
+  // hand-off, and the same holds for the barrier's count/sense pair
+  // between a window's phases. Workers only ever wait or work between
+  // dispatch calls, so the caller may freely mutate shared state in
+  // between. A waiter increments parked_ under park_mutex_ before its
+  // final check; a publisher changes state first and reads parked_
+  // second, so one of the two always sees the other.
+  // Each hot atomic sits on its own cache line: spinners polling one must
+  // not be invalidated by arrivals bumping another.
+  std::vector<std::thread> workers_;  ///< workers 1 .. threads_-1
   Job job_;
-  std::atomic<std::uint64_t> job_epoch_{0};
-  std::atomic<int> done_count_{0};
+  alignas(64) std::atomic<std::uint64_t> job_epoch_{0};
+  alignas(64) std::atomic<int> done_count_{0};
+  alignas(64) std::atomic<int> barrier_count_{0};
+  alignas(64) std::atomic<std::uint32_t> barrier_sense_{0};
+  alignas(64) std::atomic<int> parked_{0};
+  std::atomic<bool> failed_{false};
+  std::mutex park_mutex_;
+  std::condition_variable park_cv_;
   std::mutex error_mutex_;
   std::exception_ptr first_error_;
 };

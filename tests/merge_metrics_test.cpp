@@ -76,6 +76,8 @@ app::RunMetrics filled(std::int64_t base) {
   m.battery_max_drawn_fraction = static_cast<double>(++v);
   m.shard_events = {static_cast<std::uint64_t>(++v)};
   m.boundary_frames = ++v;
+  m.late_boundary_frames = ++v;
+  m.boundary_lateness_max_s = static_cast<double>(++v);
   return m;
 }
 
@@ -182,11 +184,15 @@ TEST(MergeMetrics, EveryFieldHasTheRightRule) {
   EXPECT_EQ(total.battery_max_drawn_fraction, b.battery_max_drawn_fraction);
 
   // Sharded visibility: per-shard event vectors concatenate in fold
-  // order, boundary exports sum.
+  // order, boundary exports and late frames sum, the lateness takes the
+  // max.
   ASSERT_EQ(total.shard_events.size(), 2u);
   EXPECT_EQ(total.shard_events[0], a.shard_events[0]);
   EXPECT_EQ(total.shard_events[1], b.shard_events[0]);
   EXPECT_EQ(total.boundary_frames, a.boundary_frames + b.boundary_frames);
+  EXPECT_EQ(total.late_boundary_frames,
+            a.late_boundary_frames + b.late_boundary_frames);
+  EXPECT_EQ(total.boundary_lateness_max_s, b.boundary_lateness_max_s);
 }
 
 TEST(MergeMetrics, TimeToFirstSentinelsNeverWin) {

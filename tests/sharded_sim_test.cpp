@@ -2,6 +2,10 @@
 //   * ShardMap stripes are equal-population and ordered left to right;
 //   * ShardedSimulator runs every shard to the horizon, phases parity
 //     correctly, and propagates shard exceptions;
+//   * at threads = T > 1 the engine owns exactly T - 1 OS threads: the
+//     caller runs worker 0's shards and every other shard always runs on
+//     the same worker; an error is rethrown only after every worker is
+//     done; workers parked through a slow barrier hook change no output;
 //   * boundary frames from an even stripe reach the adjacent odd stripe
 //     with their EXACT original timing (the differential test diffs a
 //     2-shard run against the single-queue Channel event for event), and
@@ -19,11 +23,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -103,6 +112,136 @@ TEST(ShardedSimulator, ShardExceptionPropagatesToTheCaller) {
     if (s == 1) throw std::runtime_error("boom");
   }),
                std::runtime_error);
+}
+
+/// OS threads of this process per /proc/self/status, or -1 where that
+/// file does not exist.
+int os_thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "Threads:") {
+      int n = -1;
+      status >> n;
+      return n;
+    }
+    status.ignore(4096, '\n');
+  }
+  return -1;
+}
+
+TEST(ShardedSimulator, CallerIsWorkerZeroAndShardsStayPinned) {
+  // Runtimes that start a helper thread with the process's first spawned
+  // thread (ThreadSanitizer does) get it out of the way before counting.
+  std::thread([] {}).join();
+  for (const int threads : {2, 3, 4}) {
+    SCOPED_TRACE(threads);
+    const int before = os_thread_count();
+    sim::ShardedSimulator::Params params;
+    params.shards = 2 * threads + 1;  // worker 0 also owns the last shard
+    params.threads = threads;
+    params.window = 0.5;
+    sim::ShardedSimulator engine(params);
+    if (before > 0) {
+      EXPECT_EQ(os_thread_count(), before + threads - 1);
+    }
+
+    // Each shard logs the thread of every callback it gets: setup,
+    // drains, dispatched events and teardown. Only the shard's own thread
+    // appends to its log.
+    const auto shards = static_cast<std::size_t>(params.shards);
+    std::vector<std::vector<std::thread::id>> seen(shards);
+    const auto log = [&seen](int s) {
+      seen[static_cast<std::size_t>(s)].push_back(std::this_thread::get_id());
+    };
+    engine.for_each_shard([&](int s) {
+      log(s);
+      for (int k = 0; k < 5; ++k)
+        engine.shard(s).schedule_at(0.2 + 0.5 * k, [&log, s] { log(s); });
+    });
+    for (int s = 0; s < params.shards; ++s)
+      engine.set_drain(s, [&log, s](std::int64_t) { log(s); });
+    engine.run(2.5);
+    engine.for_each_shard(log);
+
+    const std::thread::id caller = std::this_thread::get_id();
+    std::set<std::thread::id> workers;
+    for (int s = 0; s < params.shards; ++s) {
+      const auto& ids = seen[static_cast<std::size_t>(s)];
+      // setup + 5 windows and 2 settlement drains + 5 events + teardown
+      ASSERT_EQ(ids.size(), 1u + 7u + 5u + 1u) << "shard " << s;
+      for (const std::thread::id id : ids) EXPECT_EQ(id, ids.front());
+      if (engine.owner_thread(s) == 0) {
+        EXPECT_EQ(ids.front(), caller) << "shard " << s;
+      } else {
+        EXPECT_NE(ids.front(), caller) << "shard " << s;
+        workers.insert(ids.front());
+      }
+    }
+    EXPECT_EQ(workers.size(), static_cast<std::size_t>(threads - 1));
+  }
+}
+
+/// A share that finishes late: sleeps, then reports it finished.
+void finish_late(std::atomic<bool>& finished) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  finished.store(true);
+}
+
+TEST(ShardedSimulator, CallerShareErrorIsRethrownAfterEveryWorkerFinished) {
+  std::atomic<bool> finished{false};
+  {
+    sim::ShardedSimulator engine({6, 3, 0.02});  // workers own 2,3 and 4,5
+    ASSERT_EQ(engine.owner_thread(0), 0);
+    ASSERT_EQ(engine.owner_thread(4), 2);
+    try {
+      engine.for_each_shard([&finished](int s) {
+        if (s == 0) throw std::runtime_error("caller share");
+        if (s == 4) finish_late(finished);
+      });
+      ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "caller share");
+      EXPECT_TRUE(finished.load());
+    }
+    // The engine is still usable, and destructs cleanly afterwards.
+    std::atomic<int> visits{0};
+    engine.for_each_shard([&visits](int) { ++visits; });
+    EXPECT_EQ(visits.load(), 6);
+    engine.run(0.1);
+  }
+}
+
+TEST(ShardedSimulator, WorkerShareErrorIsRethrownAfterEveryWorkerFinished) {
+  std::atomic<bool> finished{false};
+  {
+    sim::ShardedSimulator engine({6, 3, 0.02});
+    ASSERT_EQ(engine.owner_thread(2), 1);
+    try {
+      engine.for_each_shard([&finished](int s) {
+        if (s == 2) throw std::runtime_error("worker share");
+        if (s == 4) finish_late(finished);
+      });
+      ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "worker share");
+      EXPECT_TRUE(finished.load());
+    }
+    engine.run(0.1);
+  }
+}
+
+TEST(ShardedSimulator, DrainErrorInEitherPhaseStopsTheRunCleanly) {
+  // Shard 3 (odd phase, worker 1) and shard 0 (even phase, the caller)
+  // fail in different windows; each run rethrows and the engine survives.
+  for (const int failing : {3, 0}) {
+    SCOPED_TRACE(failing);
+    sim::ShardedSimulator engine({4, 2, 0.01});
+    engine.set_drain(failing, [](std::int64_t w) {
+      if (w == 2) throw std::runtime_error("drain");
+    });
+    EXPECT_THROW(engine.run(0.1), std::runtime_error);
+  }
 }
 
 // ---- Differential boundary-frame tests ------------------------------------
@@ -318,6 +457,97 @@ TEST(ShardedChannel, ConservationLawHoldsAcrossPartitions) {
                                  stats.deliveries_corrupt +
                                  medium.total_live_arrivals());
   EXPECT_EQ(medium.total_live_arrivals(), 0);
+}
+
+/// Everything a run of the 16-node line at 8 shards observes: per-shard
+/// deliveries (in each shard's dispatch order), channel totals and the
+/// engine's event count.
+struct LineRun {
+  std::vector<std::vector<RxEvent>> rx;
+  phy::Channel::Stats stats;
+  std::int64_t exports = 0;
+  std::int64_t late = 0;
+  std::uint64_t events = 0;
+};
+
+/// 16 nodes 10 m apart, 15 m range, 8 two-node stripes: every node
+/// transmits a few broadcasts, so frames cross every stripe edge in both
+/// directions. The barrier hook sleeps `hook_sleep` at every barrier.
+LineRun run_line(int threads, std::chrono::milliseconds hook_sleep) {
+  constexpr int kNodes = 16;
+  constexpr int kShards = 8;
+  std::vector<net::Position> positions;
+  for (int i = 0; i < kNodes; ++i)
+    positions.push_back({10.0 * static_cast<double>(i), 0.0});
+  sim::ShardedSimulator engine({kShards, threads, 0.02});
+  const phy::ShardMap map = phy::ShardMap::stripes(positions, kShards);
+  auto graph = std::make_shared<net::ConnectivityGraph>(positions, 15.0);
+  phy::ShardedMedium medium(engine, graph, map, phy::Channel::Params{}, 5);
+  for (int s = 0; s < kShards; ++s)
+    engine.set_drain(s, [&medium, s](std::int64_t w) { medium.drain(s, w); });
+  engine.set_barrier_hook([hook_sleep](std::int64_t, util::Seconds) {
+    std::this_thread::sleep_for(hook_sleep);
+  });
+  LineRun out;
+  out.rx.resize(kShards);
+  std::vector<std::unique_ptr<Recorder>> recorders(kNodes);
+  engine.for_each_shard([&](int s) {
+    for (const net::NodeId id : map.owned_nodes(s)) {
+      const auto i = static_cast<std::size_t>(id);
+      recorders[i] = std::make_unique<Recorder>(
+          engine.shard(s), id, out.rx[static_cast<std::size_t>(s)]);
+      medium.shard(s).attach(id, recorders[i].get());
+      for (int k = 0; k < 4; ++k)
+        engine.shard(s).schedule_at(
+            0.003 * id + 0.025 * k, [channel = &medium.shard(s), id] {
+              phy::Frame frame;
+              frame.tx_node = id;
+              frame.rx_node = net::kBroadcastNode;
+              channel->start_tx(id, frame, 0.004);
+            });
+    }
+  });
+  engine.run(0.12);
+  out.stats = medium.total_stats();
+  out.exports = medium.boundary_exports();
+  for (int s = 0; s < kShards; ++s)
+    out.late += medium.shard(s).late_boundary_frames();
+  out.events = engine.total_processed();
+  engine.for_each_shard([&](int s) { medium.reset_shard(s); });
+  return out;
+}
+
+TEST(ShardedSimulator, WorkersParkedBySlowBarrierHookChangeNoOutput) {
+  // ~20 ms per barrier is far past the spin budget, so every worker parks
+  // at every barrier and each window starts by waking it.
+  const LineRun inline_run = run_line(1, std::chrono::milliseconds(0));
+  EXPECT_GT(inline_run.exports, 0);
+  EXPECT_GT(inline_run.late, 0);
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE(threads);
+    const LineRun parked = run_line(threads, std::chrono::milliseconds(20));
+    for (std::size_t s = 0; s < inline_run.rx.size(); ++s) {
+      const auto& a = inline_run.rx[s];
+      const auto& b = parked.rx[s];
+      ASSERT_EQ(a.size(), b.size()) << "shard " << s;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].hearer, b[i].hearer);
+        EXPECT_EQ(a[i].tx_node, b[i].tx_node);
+        EXPECT_EQ(a[i].t_start, b[i].t_start);
+        EXPECT_EQ(a[i].t_end, b[i].t_end);
+        EXPECT_EQ(a[i].clean, b[i].clean);
+      }
+    }
+    EXPECT_EQ(parked.stats.frames, inline_run.stats.frames);
+    EXPECT_EQ(parked.stats.rx_starts, inline_run.stats.rx_starts);
+    EXPECT_EQ(parked.stats.deliveries_clean,
+              inline_run.stats.deliveries_clean);
+    EXPECT_EQ(parked.stats.deliveries_corrupt,
+              inline_run.stats.deliveries_corrupt);
+    EXPECT_EQ(parked.exports, inline_run.exports);
+    EXPECT_EQ(parked.late, inline_run.late);
+    EXPECT_EQ(parked.events, inline_run.events);
+  }
 }
 
 // ---- Membership-epoch differential tests -----------------------------------
@@ -542,6 +772,8 @@ void expect_same_metrics(const app::RunMetrics& a, const app::RunMetrics& b) {
   EXPECT_EQ(a.chan_rx_starts, b.chan_rx_starts);
   EXPECT_EQ(a.chan_rx_ends, b.chan_rx_ends);
   EXPECT_EQ(a.boundary_frames, b.boundary_frames);
+  EXPECT_EQ(a.late_boundary_frames, b.late_boundary_frames);
+  EXPECT_EQ(a.boundary_lateness_max_s, b.boundary_lateness_max_s);
   EXPECT_EQ(a.events_processed, b.events_processed);
   EXPECT_EQ(a.fault_node_crashes, b.fault_node_crashes);
   EXPECT_EQ(a.fault_node_recoveries, b.fault_node_recoveries);
@@ -858,6 +1090,30 @@ app::ScenarioConfig golden_grid_config(int nodes, int shards, double duration,
   cfg.shards = shards;
   cfg.sim_threads = 1;
   return cfg;
+}
+
+TEST(ShardedScenario, LateBoundaryFramesAreCountedPerShardCount) {
+  // One partition has no stripe edge, so nothing arrives late.
+  const app::RunMetrics lone =
+      app::run_scenario(golden_grid_config(400, 1, 10.0, 10));
+  EXPECT_EQ(lone.late_boundary_frames, 0);
+  EXPECT_EQ(lone.boundary_lateness_max_s, 0.0);
+  // Eight stripes replay every direction but even → adjacent odd late,
+  // by less than one window, and identically at every thread count.
+  app::ScenarioConfig cfg = golden_grid_config(400, 8, 10.0, 10);
+  const app::RunMetrics inline_run = app::run_scenario(cfg);
+  EXPECT_GT(inline_run.late_boundary_frames, 0);
+  EXPECT_LE(inline_run.late_boundary_frames, inline_run.boundary_frames);
+  EXPECT_GT(inline_run.boundary_lateness_max_s, 0.0);
+  EXPECT_LT(inline_run.boundary_lateness_max_s, cfg.shard_window);
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE(threads);
+    cfg.sim_threads = threads;
+    const app::RunMetrics m = app::run_scenario(cfg);
+    EXPECT_EQ(m.late_boundary_frames, inline_run.late_boundary_frames);
+    EXPECT_EQ(m.boundary_lateness_max_s, inline_run.boundary_lateness_max_s);
+    expect_same_metrics(m, inline_run);
+  }
 }
 
 TEST(ShardedGolden, Grid900Nodes4ShardsIsBytePinned) {
