@@ -235,6 +235,8 @@ int main(int argc, char** argv) {
         a.generated == b.generated && a.delivered == b.delivered &&
         a.events_processed == b.events_processed &&
         a.boundary_frames == b.boundary_frames &&
+        a.late_boundary_frames == b.late_boundary_frames &&
+        a.boundary_lateness_max_s == b.boundary_lateness_max_s &&
         a.goodput == b.goodput && a.mean_delay == b.mean_delay &&
         a.normalized_energy == b.normalized_energy &&
         a.battery_deaths == b.battery_deaths &&
@@ -248,13 +250,18 @@ int main(int argc, char** argv) {
         a.shard_events == b.shard_events;
     std::printf(
         "[compare] churn+battery sharded4: %lld deaths, ttfd %.1f s, "
-        "%d crashes, %d refused recoveries — thread-count determinism "
-        "%s\n",
+        "%d crashes, %d refused recoveries, %lld late boundary frames "
+        "(max lateness %.6f s) — thread-count determinism %s\n",
         static_cast<long long>(a.battery_deaths), a.time_to_first_death,
         static_cast<int>(a.fault_node_crashes),
         static_cast<int>(a.fault_recoveries_refused),
-        determinism_ok ? "OK" : "BROKEN");
+        static_cast<long long>(a.late_boundary_frames),
+        a.boundary_lateness_max_s, determinism_ok ? "OK" : "BROKEN");
     sink.set_meta("compare_threads_determinism", determinism_ok ? 1.0 : 0.0);
+    sink.set_meta("compare_late_boundary_frames",
+                  static_cast<double>(a.late_boundary_frames));
+    sink.set_meta("compare_boundary_lateness_max_s",
+                  a.boundary_lateness_max_s);
   }
 
   // ---- Headline cell: lifetime at 100k+ nodes on the sharded engine ------
@@ -287,11 +294,14 @@ int main(int argc, char** argv) {
     std::printf(
         "[headline] %d nodes, %d shards, %.1f s simulated with finite "
         "batteries: %.0f ms wall, %llu events (%.0f events/sec), "
-        "%lld deaths, first death %.2f s, %lld bits before it\n",
+        "%lld deaths, first death %.2f s, %lld bits before it, %lld late "
+        "boundary frames (max lateness %.6f s)\n",
         side * side, headline_shards, cfg.duration, wall_ms,
         static_cast<unsigned long long>(m.events_processed), events_per_sec,
         static_cast<long long>(m.battery_deaths), m.time_to_first_death,
-        static_cast<long long>(m.delivered_bits_until_first_death));
+        static_cast<long long>(m.delivered_bits_until_first_death),
+        static_cast<long long>(m.late_boundary_frames),
+        m.boundary_lateness_max_s);
     sink.set_meta("headline_nodes", static_cast<double>(side * side));
     sink.set_meta("headline_shards", static_cast<double>(headline_shards));
     sink.set_meta("headline_events_per_sec", events_per_sec);
@@ -299,6 +309,10 @@ int main(int argc, char** argv) {
     sink.set_meta("headline_battery_deaths",
                   static_cast<double>(m.battery_deaths));
     sink.set_meta("headline_time_to_first_death_s", m.time_to_first_death);
+    sink.set_meta("headline_late_boundary_frames",
+                  static_cast<double>(m.late_boundary_frames));
+    sink.set_meta("headline_boundary_lateness_max_s",
+                  m.boundary_lateness_max_s);
   }
   export_json("lifetime", sink);
 

@@ -282,6 +282,9 @@ int main(int argc, char** argv) {
         sharded.generated == inline_run.generated &&
         sharded.events_processed == inline_run.events_processed &&
         sharded.boundary_frames == inline_run.boundary_frames &&
+        sharded.late_boundary_frames == inline_run.late_boundary_frames &&
+        sharded.boundary_lateness_max_s ==
+            inline_run.boundary_lateness_max_s &&
         sharded.goodput == inline_run.goodput &&
         sharded.mean_delay == inline_run.mean_delay &&
         sharded.normalized_energy == inline_run.normalized_energy &&
@@ -290,16 +293,22 @@ int main(int argc, char** argv) {
     std::printf(
         "[compare] grid-%d dual-radio: one partition %.0f ms (%d "
         "delivered), "
-        "%d shards %.0f ms (%d delivered, %lld boundary frames) — "
-        "%.2fx, thread-count determinism %s\n",
+        "%d shards %.0f ms (%d delivered, %lld boundary frames, %lld "
+        "late, max lateness %.6f s) — %.2fx, thread-count determinism %s\n",
         sizes.back(), single_ms, static_cast<int>(single.delivered),
         compare_shards, sharded_ms, static_cast<int>(sharded.delivered),
-        static_cast<long long>(sharded.boundary_frames), speedup,
+        static_cast<long long>(sharded.boundary_frames),
+        static_cast<long long>(sharded.late_boundary_frames),
+        sharded.boundary_lateness_max_s, speedup,
         determinism_ok ? "OK" : "BROKEN");
     sink.set_meta("compare_shards", static_cast<double>(compare_shards));
     sink.set_meta("compare_single_ms", single_ms);
     sink.set_meta("compare_sharded_ms", sharded_ms);
     sink.set_meta("compare_speedup", speedup);
+    sink.set_meta("compare_late_boundary_frames",
+                  static_cast<double>(sharded.late_boundary_frames));
+    sink.set_meta("compare_boundary_lateness_max_s",
+                  sharded.boundary_lateness_max_s);
   }
 
   // ---- Headline cell: one sharded simulation at 100k+ nodes --------------
@@ -333,12 +342,13 @@ int main(int argc, char** argv) {
     headline_rss_mib = rss;
     std::printf(
         "[headline] %d nodes, %d shards, %.1f s simulated: %.0f ms wall, "
-        "%llu events (%.0f events/sec), %lld boundary frames, %d delivered, "
-        "peak RSS %.0f MiB\n",
+        "%llu events (%.0f events/sec), %lld boundary frames (%lld late, "
+        "max lateness %.6f s), %d delivered, peak RSS %.0f MiB\n",
         headline_nodes, headline_shards, cfg.duration, wall_ms,
         static_cast<unsigned long long>(m.events_processed),
         headline_events_per_sec, static_cast<long long>(m.boundary_frames),
-        static_cast<int>(m.delivered), rss);
+        static_cast<long long>(m.late_boundary_frames),
+        m.boundary_lateness_max_s, static_cast<int>(m.delivered), rss);
     std::printf("[headline] per-shard events:");
     for (std::size_t s = 0; s < m.shard_events.size(); ++s)
       std::printf(" %llu",
@@ -349,6 +359,10 @@ int main(int argc, char** argv) {
     sink.set_meta("headline_events_per_sec", headline_events_per_sec);
     sink.set_meta("headline_wall_ms", wall_ms);
     sink.set_meta("headline_peak_rss_mib", rss);
+    sink.set_meta("headline_late_boundary_frames",
+                  static_cast<double>(m.late_boundary_frames));
+    sink.set_meta("headline_boundary_lateness_max_s",
+                  m.boundary_lateness_max_s);
   }
   export_json("scale_nodes", sink);
 

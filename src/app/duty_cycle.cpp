@@ -59,6 +59,11 @@ void DutyCycledWifiNode::crash() {
   radio_.force_off();
 }
 
+NodeRadios DutyCycledWifiNode::radios() {
+  return {{NodeRadio{&radio_, &mac_, RadioClass::kWifi, /*on_demand=*/true}},
+          1};
+}
+
 void DutyCycledWifiNode::send(const net::DataPacket& packet) {
   if (!up_) {
     delivery_->dropped(packet, "node-down");

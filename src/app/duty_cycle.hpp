@@ -25,7 +25,7 @@
 
 namespace bcp::app {
 
-class DutyCycledWifiNode {
+class DutyCycledWifiNode final : public Node {
  public:
   struct Schedule {
     util::Seconds period = 1.0;  ///< wake-up interval
@@ -39,21 +39,19 @@ class DutyCycledWifiNode {
                      Schedule schedule, std::uint64_t seed,
                      DeliverySink* delivery);
 
-  /// Entry point for locally generated packets; queued until the next
-  /// on-window. While the node is down, packets are dropped with reason
-  /// "node-down".
-  void send(const net::DataPacket& packet);
+  /// Locally generated packets are queued until the next on-window.
+  void send(const net::DataPacket& packet) override;
 
-  /// Battery-death teardown (duty nodes never appear in fault plans, so
-  /// unlike the other assemblies there is no recover()): kills the radio
-  /// mid-whatever, discards queued traffic, and permanently ends the
-  /// wake-window chain. Idempotent.
-  void crash();
-  bool up() const { return up_; }
+  /// Battery-death teardown: kills the radio mid-whatever, discards
+  /// queued traffic, and permanently ends the wake-window chain. Duty
+  /// nodes never appear in fault plans, so recover() keeps Node's
+  /// refusing default.
+  void crash() override;
+  /// The one 802.11 radio, powered per on-window.
+  NodeRadios radios() override;
 
   phy::Radio& radio() { return radio_; }
   const phy::Radio& radio() const { return radio_; }
-  mac::CsmaCaMac& mac() { return mac_; }
   std::size_t queued() const { return pending_.size(); }
 
  private:
@@ -69,7 +67,6 @@ class DutyCycledWifiNode {
   net::NodeId sink_;
   Schedule schedule_;
   DeliverySink* delivery_;
-  bool up_ = true;
   phy::Radio radio_;
   mac::CsmaCaMac mac_;
   util::SlidingQueue<net::Message> pending_;  ///< waiting for the next window

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "app/duty_cycle.hpp"
 #include "mac/mac_params.hpp"
 #include "mac/tdma_mac.hpp"
 #include "util/assert.hpp"
@@ -22,16 +21,21 @@ std::unique_ptr<mac::Mac> make_mac(sim::Simulator& sim, phy::Radio& radio,
   return std::make_unique<mac::CsmaCaMac>(sim, radio, choice.csma, seed);
 }
 
+void Node::recover() {
+  BCP_REQUIRE_MSG(false, "this node assembly cannot recover from a crash");
+}
+
 // ---------------------------------------------------------- ForwardingNode
 
 ForwardingNode::ForwardingNode(sim::Simulator& sim, phy::Channel& channel,
                                const net::Router& routes,
                                net::NodeId self, net::NodeId sink,
+                               RadioClass cls,
                                const energy::RadioEnergyModel& radio_model,
                                phy::OverhearMode overhear,
                                const MacChoice& mac_choice,
                                std::uint64_t seed, DeliverySink* delivery)
-    : sim_(sim), routes_(routes), self_(self), sink_(sink),
+    : sim_(sim), routes_(routes), self_(self), sink_(sink), cls_(cls),
       delivery_(delivery),
       radio_(sim, channel, self, radio_model, overhear, /*start_on=*/true),
       mac_(make_mac(sim, radio_, mac_choice,
@@ -71,6 +75,10 @@ void ForwardingNode::recover() {
   up_ = true;
   radio_.power_on();
   mac_->on_recover();
+}
+
+NodeRadios ForwardingNode::radios() {
+  return {{NodeRadio{&radio_, mac_.get(), cls_, /*on_demand=*/false}}, 1};
 }
 
 void ForwardingNode::forward(const net::Message& msg) {
@@ -189,6 +197,14 @@ void DualRadioNode::recover() {
   low_mac_->on_recover();
 }
 
+NodeRadios DualRadioNode::radios() {
+  return {{NodeRadio{&low_radio_, low_mac_.get(), RadioClass::kSensor,
+                     /*on_demand=*/false},
+           NodeRadio{&high_radio_, high_mac_.get(), RadioClass::kWifi,
+                     /*on_demand=*/true}},
+          2};
+}
+
 core::BcpHost::TimerId DualRadioNode::set_timer(
     util::Seconds delay, core::BcpHost::TimerCallback callback) {
   // TimerCallback IS the simulator's callback type — no re-wrapping.
@@ -285,16 +301,9 @@ void DualRadioNode::on_high_rx(const net::Message& msg,
   // frames there.
 }
 
-void crash_node(ForwardingNode* fwd, DualRadioNode* dual,
-                DutyCycledWifiNode* duty, net::NodeId node,
-                net::LinkState* links) {
-  BCP_REQUIRE_MSG((fwd != nullptr) + (dual != nullptr) + (duty != nullptr) ==
-                      1,
-                  "crash_node takes exactly one node assembly");
-  if (fwd != nullptr) fwd->crash();
-  if (dual != nullptr) dual->crash();
-  if (duty != nullptr) duty->crash();
-  if (links != nullptr) links->set_node_up(node, false);
+void crash_node(Node& node, net::NodeId id, net::LinkState* links) {
+  node.crash();
+  if (links != nullptr) links->set_node_up(id, false);
 }
 
 }  // namespace bcp::app

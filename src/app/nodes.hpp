@@ -1,4 +1,8 @@
-// Node assemblies for the three §4.1 evaluation models.
+// Node assemblies for the three §4.1 evaluation models, behind one seam.
+//
+// Node — what the scenario engine drives every assembly through: workload
+// traffic (send), fault and battery crashes (crash/recover/up), and the
+// radios, MACs and optional BCP agent its collect phase reads.
 //
 // ForwardingNode — a single-radio node (Sensor or pure-802.11 model):
 //   workload/relayed packets are queued straight into the MAC toward the
@@ -10,6 +14,9 @@
 //   This class is the simulator's implementation of core::BcpHost.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 
@@ -28,8 +35,6 @@ struct TdmaSchedule;
 }
 
 namespace bcp::app {
-
-class DutyCycledWifiNode;
 
 /// Where delivered packets and drop notices end up (owned by the scenario).
 struct DeliverySink {
@@ -56,31 +61,69 @@ std::unique_ptr<mac::Mac> make_mac(sim::Simulator& sim, phy::Radio& radio,
                                    const MacChoice& choice,
                                    std::uint64_t seed);
 
-/// Single-radio store-and-forward node.
-class ForwardingNode {
+/// The §4.1 radio class: which energy total a radio's meter feeds.
+enum class RadioClass : std::uint8_t { kSensor, kWifi };
+
+/// One radio of a node assembly and the MAC above it.
+struct NodeRadio {
+  phy::Radio* radio = nullptr;
+  mac::Mac* mac = nullptr;
+  RadioClass cls = RadioClass::kSensor;
+  /// Powered per use, not always on: reports on-time and wake-ups.
+  bool on_demand = false;
+};
+
+/// A node's radios, sensor class first.
+struct NodeRadios {
+  std::array<NodeRadio, 2> at;
+  std::size_t count = 0;
+  const NodeRadio* begin() const { return at.data(); }
+  const NodeRadio* end() const { return at.data() + count; }
+};
+
+/// The one seam between the scenario engine and a node assembly.
+class Node {
  public:
-  ForwardingNode(sim::Simulator& sim, phy::Channel& channel,
-                 const net::Router& routes, net::NodeId self,
-                 net::NodeId sink, const energy::RadioEnergyModel& radio_model,
-                 phy::OverhearMode overhear, const MacChoice& mac_choice,
-                 std::uint64_t seed, DeliverySink* delivery);
+  virtual ~Node() = default;
 
   /// Entry point for locally generated packets. While the node is down,
   /// packets are dropped with reason "node-down".
-  void send(const net::DataPacket& packet);
+  virtual void send(const net::DataPacket& packet) = 0;
 
-  /// Fault injection: crash kills the radio mid-whatever (cancelling all
-  /// pending MAC timers, truncating an in-flight frame) and silently
-  /// discards queued traffic; recover reboots with empty state (the radio
-  /// pays its wake-up charge). Both are idempotent.
-  void crash();
-  void recover();
+  /// Fault injection and battery death, both idempotent: crash cancels
+  /// pending timers, truncates in-flight frames and drops queued traffic;
+  /// recover reboots clean. The default recover() refuses.
+  virtual void crash() = 0;
+  virtual void recover();
   bool up() const { return up_; }
 
+  virtual NodeRadios radios() = 0;
+  /// The node's BCP agent; null for assemblies that run none.
+  virtual const core::BcpAgent* bcp_agent() const { return nullptr; }
+
+ protected:
+  bool up_ = true;
+};
+
+/// Single-radio store-and-forward node on radio class `cls`.
+class ForwardingNode final : public Node {
+ public:
+  ForwardingNode(sim::Simulator& sim, phy::Channel& channel,
+                 const net::Router& routes, net::NodeId self,
+                 net::NodeId sink, RadioClass cls,
+                 const energy::RadioEnergyModel& radio_model,
+                 phy::OverhearMode overhear, const MacChoice& mac_choice,
+                 std::uint64_t seed, DeliverySink* delivery);
+
+  void send(const net::DataPacket& packet) override;
+
+  /// recover powers the radio back on (paying its wake-up charge).
+  void crash() override;
+  void recover() override;
+  NodeRadios radios() override;
+
   phy::Radio& radio() { return radio_; }
-  const phy::Radio& radio() const { return radio_; }
   mac::Mac& mac() { return *mac_; }
-  const mac::Mac& mac() const { return *mac_; }
   net::NodeId self() const { return self_; }
 
  private:
@@ -91,8 +134,8 @@ class ForwardingNode {
   const net::Router& routes_;
   net::NodeId self_;
   net::NodeId sink_;
+  RadioClass cls_;
   DeliverySink* delivery_;
-  bool up_ = true;
   phy::Radio radio_;
   // Behind the seam: which family lives here is a MacChoice decision made
   // once per run at construction (not hot-path state).
@@ -101,7 +144,7 @@ class ForwardingNode {
 
 /// Dual-radio node: sensor radio + CSMA MAC for control, 802.11 radio +
 /// DCF MAC for bulk data, and a BcpAgent in between.
-class DualRadioNode final : public core::BcpHost {
+class DualRadioNode final : public Node, public core::BcpHost {
  public:
   DualRadioNode(sim::Simulator& sim, phy::Channel& low_channel,
                 phy::Channel& high_channel, const net::Router& low_routes,
@@ -120,18 +163,14 @@ class DualRadioNode final : public core::BcpHost {
                                                       {},
                                                       nullptr});
 
-  /// Entry point for locally generated packets (goes through BCP). While
-  /// the node is down, packets are dropped with reason "node-down".
-  void send(const net::DataPacket& packet);
+  void send(const net::DataPacket& packet) override;
 
-  /// Fault injection: crash cancels every pending BCP host timer and MAC
-  /// timer, truncates in-flight frames, loses buffered bursts, and forces
-  /// both radios dark; recover reboots with a clean protocol state (the
-  /// sensor radio pays its wake-up, the 802.11 radio stays off until BCP
-  /// next needs it). Both are idempotent.
-  void crash();
-  void recover();
-  bool up() const { return up_; }
+  /// crash also loses buffered bursts; recover wakes the sensor radio and
+  /// leaves the 802.11 radio off until BCP next needs it.
+  void crash() override;
+  void recover() override;
+  NodeRadios radios() override;
+  const core::BcpAgent* bcp_agent() const override { return &agent_; }
 
   core::BcpAgent& agent() { return agent_; }
   const core::BcpAgent& agent() const { return agent_; }
@@ -173,7 +212,6 @@ class DualRadioNode final : public core::BcpHost {
   const net::Router& high_routes_;
   net::NodeId self_;
   DeliverySink* delivery_;
-  bool up_ = true;
   // Constructed in declaration order (radios before MACs before the
   // agent, which binds to *this as its BcpHost).
   phy::Radio low_radio_;
@@ -187,14 +225,10 @@ class DualRadioNode final : public core::BcpHost {
 };
 
 /// The one crash teardown shared by fault-plan crashes and battery
-/// deaths: crash the node assembly (exactly one of `fwd`/`dual`/`duty`
-/// is non-null — whichever the scenario's evaluation model built for
-/// `node`) and take the node down in `links` (when non-null — the
-/// membership replica every radio class's channel and router read) so
-/// channels stop delivering to it and routing re-converges. Idempotent,
-/// like the crash() members it funnels into.
-void crash_node(ForwardingNode* fwd, DualRadioNode* dual,
-                DutyCycledWifiNode* duty, net::NodeId node,
-                net::LinkState* links);
+/// deaths: crash `node` (the assembly built for node id `id`) and take it
+/// down in `links` (when non-null — the membership replica every radio
+/// class's channel and router read) so channels stop delivering to it and
+/// routing re-converges. Idempotent, like Node::crash.
+void crash_node(Node& node, net::NodeId id, net::LinkState* links);
 
 }  // namespace bcp::app

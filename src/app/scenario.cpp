@@ -4,38 +4,29 @@
 // runs; more partitions cut the node plane into x-stripes that exchange
 // boundary frames at window barriers.
 //
-// Node/shard lifecycle discipline: pooled message payloads
-// (net::MessagePool) are thread-local, so everything a shard owns —
-// nodes, workloads, channel partitions, pending events — is constructed,
-// run, and destroyed on the shard's pinned worker thread via
-// for_each_shard phases (setup → run → collect → teardown). Each shard
-// folds its own metrics in the collect phase, and the caller merges the
-// folds in ascending shard order, so the result is a pure function of
-// (config, shard count) — sim_threads never changes a byte of output.
+// run_scenario is seven phases over one RunContext: validate; shared
+// graphs and routes; media and coordinator; shard setup; run; collect;
+// teardown. Pooled message payloads (net::MessagePool) are thread-local,
+// so everything a shard owns — nodes, workloads, channel partitions,
+// pending events — is built, run and destroyed on the shard's pinned
+// worker thread (for_each_shard). Shards reach their nodes only through
+// the app::Node seam; only make_node names the evaluation model. Each
+// shard folds its own metrics, and the caller merges the folds in
+// ascending shard order, so the result is a pure function of (config,
+// shard count) — sim_threads never changes a byte of output.
 //
-// Membership epochs: fault/churn and finite batteries mutate LinkState
-// membership mid-run, which a single shared LinkState cannot survive
-// under real threads. Instead every shard owns one LinkState *replica*,
-// read by both radio classes' channel partitions (every mutation hits
-// both classes alike, so one replica serves them). The shard that owns a
-// node executes its crash / recover / depletion at the exact event
-// instant against its own replica (through app::crash_node, so its
-// channels are exact at once), queues the mutation as a
-// net::MembershipDelta, and the coordinator broadcasts the accumulated
-// batch to every replica at the window barrier, applied in deterministic
-// (time, shard, node) order — a remote shard sees a membership change at
-// most one exchange window late, the same staleness bound the
-// boundary-frame mailboxes already carry. A coordinator-owned replica
-// receives the same global delta sequence and answers the
-// sink-partition checks exactly at each death's event time; the run's
-// one router per radio graph reads it too, refreshed at every barrier, so
-// routes follow a membership change at the next barrier on every shard,
-// the owner's included. Delivered
-// counts referenced by the "bits until first death / partition" metrics
-// are read at the publishing barrier (≤ one window after the event), and
-// lifetime-aware routing re-prices relays from a battery snapshot taken
-// at the barriers on the reroute_period grid — at every shard count,
-// one partition included.
+// Membership epochs: every shard owns one LinkState replica, read by
+// both radio classes' channel partitions. The owning shard executes a
+// crash / recover / depletion at its exact event instant against its own
+// replica (through app::crash_node), queues it as a net::MembershipDelta,
+// and the coordinator broadcasts the batch to every replica at the next
+// window barrier in (time, shard, node) order — a remote shard sees the
+// change at most one window late. The coordinator's own replica answers
+// the sink-partition checks and feeds the run's one router per radio
+// graph, refreshed at every barrier. "Bits until first death /
+// partition" are read at the publishing barrier, and lifetime-aware
+// routing re-prices relays from a battery snapshot taken at the barriers
+// on the reroute_period grid.
 #include "app/scenario.hpp"
 
 #include <algorithm>
@@ -172,10 +163,9 @@ phy::Channel::Params channel_params(const ScenarioConfig& config,
   return params;
 }
 
-/// Resolves one radio class's MacChoice: CSMA keeps the exact historical
-/// MacParams + seed path; TDMA builds the class's slot schedule from its
-/// convergecast tree into `schedule_out` and fills zero (class-default)
-/// knobs, auto-tightening the beacon period to the slot span.
+/// Resolves one radio class's MacChoice: CSMA keeps the historical
+/// MacParams; TDMA builds the class's slot schedule into `schedule_out`
+/// and resolves zero (class-default) knobs against its slot count.
 MacChoice resolve_choice(const mac::MacSpec& spec,
                          mac::MacParams csma_defaults,
                          mac::TdmaParams tdma_defaults,
@@ -216,60 +206,39 @@ void add_tdma_stats(RunMetrics& m, const mac::Mac& mc) {
   }
 }
 
-// Per-node metric collection: finalizes the node's meter(s) at `end` and
-// accumulates energies/MAC/protocol counters. One call per node, in node
-// id order within a shard, fixes the accumulation arithmetic.
-void collect_forwarding(RunMetrics& m, ForwardingNode& node,
-                        bool charge_sensor, util::Seconds end) {
-  energy::EnergyMeter& meter = node.radio().meter();
-  meter.finalize(end);
-  accumulate(charge_sensor ? m.sensor_energy : m.wifi_energy, meter);
-  m.mac_tx_attempts += node.mac().stats().tx_attempts;
-  m.mac_tx_failed += node.mac().stats().tx_failed;
-  m.mac_crash_drops += node.mac().stats().crash_drops;
-  add_tdma_stats(m, node.mac());
-}
 
-void collect_duty(RunMetrics& m, DutyCycledWifiNode& node,
-                  util::Seconds end) {
-  energy::EnergyMeter& meter = node.radio().meter();
-  meter.finalize(end);
-  accumulate(m.wifi_energy, meter);
-  m.mac_tx_attempts += node.mac().stats().tx_attempts;
-  m.mac_tx_failed += node.mac().stats().tx_failed;
-  m.wifi_wakeup_transitions += meter.wakeup_count();
-  using energy::EnergyCategory;
-  m.wifi_on_seconds += meter.duration(EnergyCategory::kIdle) +
-                       meter.duration(EnergyCategory::kRx) +
-                       meter.duration(EnergyCategory::kOverhear) +
-                       meter.duration(EnergyCategory::kTx);
-}
-
-void collect_dual(RunMetrics& m, DualRadioNode& node, util::Seconds end) {
-  node.sensor_radio().meter().finalize(end);
-  node.wifi_radio().meter().finalize(end);
-  accumulate(m.sensor_energy, node.sensor_radio().meter());
-  accumulate(m.wifi_energy, node.wifi_radio().meter());
-  m.mac_tx_attempts += node.sensor_mac().stats().tx_attempts +
-                       node.wifi_mac().stats().tx_attempts;
-  m.mac_tx_failed += node.sensor_mac().stats().tx_failed +
-                     node.wifi_mac().stats().tx_failed;
-  m.mac_crash_drops += node.sensor_mac().stats().crash_drops +
-                       node.wifi_mac().stats().crash_drops;
-  add_tdma_stats(m, node.sensor_mac());
-  const auto& astats = node.agent().stats();
-  m.bcp_packets_lost_to_crash += astats.packets_lost_to_crash;
-  m.bcp_wakeups += astats.wakeups_sent;
-  m.bcp_handshakes_failed += astats.handshakes_failed;
-  m.bcp_sender_sessions += astats.sender_sessions_completed;
-  m.bcp_receiver_timeouts += astats.receiver_sessions_timed_out;
-  m.wifi_wakeup_transitions += node.wifi_radio().meter().wakeup_count();
-  using energy::EnergyCategory;
-  const auto& wm = node.wifi_radio().meter();
-  m.wifi_on_seconds += wm.duration(EnergyCategory::kIdle) +
-                       wm.duration(EnergyCategory::kRx) +
-                       wm.duration(EnergyCategory::kOverhear) +
-                       wm.duration(EnergyCategory::kTx);
+// Per-node collection over the node seam: finalizes each radio's meter at
+// `end` and adds its energy to its class total, plus its MAC's and the BCP
+// agent's counters; only on-demand radios report on-time and wake-ups.
+// One call per node, in node id order, fixes the accumulation arithmetic.
+void collect_node(RunMetrics& m, Node& node, util::Seconds end) {
+  for (const NodeRadio& r : node.radios()) {
+    energy::EnergyMeter& meter = r.radio->meter();
+    meter.finalize(end);
+    accumulate(r.cls == RadioClass::kSensor ? m.sensor_energy
+                                            : m.wifi_energy,
+               meter);
+    const mac::Mac::Stats& ms = r.mac->stats();
+    m.mac_tx_attempts += ms.tx_attempts;
+    m.mac_tx_failed += ms.tx_failed;
+    m.mac_crash_drops += ms.crash_drops;
+    add_tdma_stats(m, *r.mac);
+    if (!r.on_demand) continue;
+    m.wifi_wakeup_transitions += meter.wakeup_count();
+    using energy::EnergyCategory;
+    m.wifi_on_seconds += meter.duration(EnergyCategory::kIdle) +
+                         meter.duration(EnergyCategory::kRx) +
+                         meter.duration(EnergyCategory::kOverhear) +
+                         meter.duration(EnergyCategory::kTx);
+  }
+  if (const core::BcpAgent* agent = node.bcp_agent()) {
+    const auto& astats = agent->stats();
+    m.bcp_packets_lost_to_crash += astats.packets_lost_to_crash;
+    m.bcp_wakeups += astats.wakeups_sent;
+    m.bcp_handshakes_failed += astats.handshakes_failed;
+    m.bcp_sender_sessions += astats.sender_sessions_completed;
+    m.bcp_receiver_timeouts += astats.receiver_sessions_timed_out;
+  }
 }
 
 /// Goodput, mean delay and the normalized-energy family, computed from
@@ -324,26 +293,16 @@ struct PendingDelta {
 /// Everything one shard owns. Node-indexed vectors are stripe-local:
 /// length owned_count(s), indexed by ShardMap::local_of — O(n/shards)
 /// per partition, and emit hooks stay O(1) lookups. Only the battery
-/// vector keeps null holes (radio classes without a budget).
+/// vector keeps null holes (nodes whose radio classes have no budget).
 struct ShardState {
   RunMetrics m;
   double delay_sum = 0;
   DeliverySink delivery;
-  /// TDMA slot schedules (one-partition runs only), one per radio class
-  /// that asked for the family. Declared before the nodes, which hold
-  /// references into them.
-  std::optional<mac::TdmaSchedule> low_schedule;
-  std::optional<mac::TdmaSchedule> high_schedule;
-  std::vector<std::unique_ptr<ForwardingNode>> fwd;
-  std::vector<std::unique_ptr<DualRadioNode>> dual;
-  std::vector<std::unique_ptr<DutyCycledWifiNode>> duty;
+  std::vector<std::unique_ptr<Node>> nodes;
   std::vector<std::unique_ptr<CbrWorkload>> workloads;
 
-  // Membership-epoch state (engaged only for fault/battery runs). The
-  // replica is dense over the whole network (one byte per node) and feeds
-  // both radio classes' channel partitions; the delta queue is written on
-  // the shard's pinned thread and drained by the coordinator between
-  // phase barriers.
+  // Membership-epoch state (fault/battery runs only): a dense replica
+  // (one byte per node) and the deltas the coordinator drains.
   std::optional<net::LinkState> links;
   std::vector<std::unique_ptr<energy::Battery>> batteries;
   std::vector<PendingDelta> deltas;
@@ -351,6 +310,61 @@ struct ShardState {
   /// never resized, so &st members are stable for the whole run).
   std::function<void(const sim::FaultEvent&)> apply_fault;
   std::function<void(net::NodeId)> on_battery_death;
+};
+
+/// What one run_scenario call holds between its phases. Reverse
+/// declaration order is the safe destruction order on every error path:
+/// media, engine, routers, shard states, TDMA schedules, graphs.
+struct RunContext {
+  explicit RunContext(const ScenarioConfig& c) : config(c) {}
+
+  const ScenarioConfig& config;
+
+  // ---- Validate.
+  bool has_faults = false;
+  bool has_battery = false;
+  bool has_links = false;  ///< membership replicas: faults or batteries
+  bool lifetime_routing = false;
+  bool needs_low = false;   ///< the model runs sensor radios
+  bool needs_high = false;  ///< the model runs 802.11 radios
+
+  // ---- Shared graphs and routes.
+  net::Topology topo;
+  phy::ShardMap map;
+  std::shared_ptr<const net::ConnectivityGraph> low_graph;
+  std::shared_ptr<const net::ConnectivityGraph> high_graph;
+  std::vector<sim::FaultEvent> fault_events;
+  core::BcpConfig bcp;
+  std::vector<net::NodeId> senders;
+  /// Lifetime-aware route costs read this drawn/capacity snapshot, never
+  /// live battery state, so relay prices are a pure function of (config,
+  /// shard count).
+  std::vector<double> battery_fraction;
+  std::optional<mac::TdmaSchedule> low_schedule;
+  std::optional<mac::TdmaSchedule> high_schedule;
+  MacChoice low_choice;
+  MacChoice high_choice;
+  std::vector<ShardState> states;  ///< filled by media and coordinator
+  /// The coordinator's replica: the membership ground truth routing and
+  /// the sink-partition checks run against.
+  std::optional<net::LinkState> coord;
+  std::vector<const net::DynamicRouting*> dynamic;
+  std::unique_ptr<net::Router> low_routes;
+  std::unique_ptr<net::Router> high_routes;  ///< null when the graph is shared
+  const net::Router* low_r = nullptr;
+  const net::Router* high_r = nullptr;
+
+  // ---- Media and coordinator.
+  std::vector<PendingDelta> batch;
+  std::int64_t first_death_bits = -1;
+  double partition_time = -1;
+  std::int64_t partition_bits = -1;
+  double next_reroute = 0;
+  std::optional<sim::ShardedSimulator> engine;
+  std::optional<phy::ShardedMedium> low_medium;
+  std::optional<phy::ShardedMedium> high_medium;
+
+  ShardState& state(int s) { return states[static_cast<std::size_t>(s)]; }
 };
 
 }  // namespace
@@ -449,7 +463,12 @@ void merge_metrics(RunMetrics& total, const RunMetrics& part) {
 
 }  // namespace detail
 
-RunMetrics run_scenario(const ScenarioConfig& config) {
+namespace {
+
+// ---- Phase 1: validate. Every check here needs no topology, so a
+// misconfigured 100k-node run fails before the placement is built.
+void validate(RunContext& ctx) {
+  const ScenarioConfig& config = ctx.config;
   BCP_REQUIRE(config.topology.node_count() >= 2);
   BCP_REQUIRE(config.duration > 0);
   BCP_REQUIRE(config.rate_bps > 0);
@@ -457,22 +476,15 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
   BCP_REQUIRE(config.burst_packets > 0);
   BCP_REQUIRE(config.shards >= 1);
   BCP_REQUIRE(config.shard_window > 0);
-  // Bound checks that need no topology construction come first: a
-  // misconfigured 100k-node run must fail before full placement build.
   BCP_REQUIRE_MSG(config.n_senders >= 1 &&
                       config.n_senders <= config.topology.node_count() - 1,
                   "sender count must be in [1, nodes-1]");
-  // ShardMap::stripes would clamp a too-large shard count silently; a
-  // scenario asking for more stripes than nodes is a configuration error
-  // and fails loudly instead (benches that sweep node counts clamp
-  // per cell and record the effective count in their meta).
+  // ShardMap::stripes would clamp a too-large shard count silently.
   BCP_REQUIRE_MSG(config.shards <= config.topology.node_count(),
                   "shard count must not exceed the node count");
-  // MAC family selection per radio class: bad TDMA knobs throw before
-  // any simulation state exists. The slotted family presumes a radio
-  // that is awake for its slots, which the BCP-managed 802.11 radio and
-  // the duty-cycled strawman are not, and one slot clock for the whole
-  // network.
+  // The slotted family presumes a radio that is awake for its slots
+  // (not the BCP-managed or duty-cycled 802.11 radio) and one slot clock
+  // for the whole network.
   config.sensor_mac.validate();
   config.wifi_mac.validate();
   BCP_REQUIRE_MSG(!config.wifi_mac.is_tdma() ||
@@ -483,74 +495,60 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
                                          !config.wifi_mac.is_tdma()),
                   "TDMA requires shards == 1 (beacon relay across stripes "
                   "would race the slot clock)");
-  const bool has_faults = !config.faults.empty();
-  BCP_REQUIRE_MSG(!has_faults || config.model != EvalModel::kWifiDutyCycled,
+  ctx.has_faults = !config.faults.empty();
+  BCP_REQUIRE_MSG(!ctx.has_faults ||
+                      config.model != EvalModel::kWifiDutyCycled,
                   "fault injection is not supported for the duty-cycled "
                   "802.11 strawman");
   config.battery.validate();
-  const bool has_battery = config.battery.enabled;
-  BCP_REQUIRE_MSG(
-      config.route_policy == net::RoutePolicy::kShortestPath || has_battery,
-      "lifetime-aware routing requires an enabled battery");
+  ctx.has_battery = config.battery.enabled;
+  BCP_REQUIRE_MSG(config.route_policy == net::RoutePolicy::kShortestPath ||
+                      ctx.has_battery,
+                  "lifetime-aware routing requires an enabled battery");
   if (config.model == EvalModel::kWifiDutyCycled) {
     BCP_REQUIRE_MSG(config.duty_cycle > 0 && config.duty_cycle <= 1.0,
                     "duty cycle must be in (0, 1]");
     BCP_REQUIRE_MSG(config.duty_period > 0, "duty period must be positive");
   }
-  // Channels must stop delivering to dead nodes and routing must
-  // re-converge around them, so battery runs share the fault machinery's
-  // membership epochs even when the fault plan is empty.
-  const bool has_links = has_faults || has_battery;
-  const bool lifetime_routing =
+  ctx.has_links = ctx.has_faults || ctx.has_battery;
+  ctx.lifetime_routing =
       config.route_policy == net::RoutePolicy::kLifetimeAware;
+  ctx.needs_low = config.model == EvalModel::kSensor ||
+                  config.model == EvalModel::kDualRadio;
+  ctx.needs_high = config.model != EvalModel::kSensor;
+}
 
-  const net::Topology topo = config.topology.build();
-  const net::NodeId sink = topo.sink;
-  const int n = topo.node_count();
+// ---- Phase 2: shared graphs and routes, built once on the caller.
+void build_shared_graphs_and_routes(RunContext& ctx) {
+  const ScenarioConfig& config = ctx.config;
+  ctx.topo = config.topology.build();
+  const net::NodeId sink = ctx.topo.sink;
+  const int n = ctx.topo.node_count();
+  ctx.map = phy::ShardMap::stripes(ctx.topo.positions, config.shards);
 
-  const bool needs_low = config.model == EvalModel::kSensor ||
-                         config.model == EvalModel::kDualRadio;
-  const bool needs_high = config.model != EvalModel::kSensor;
-  const bool all_pairs =
-      config.routing == RoutingMode::kAllPairs ||
-      (config.routing == RoutingMode::kAuto && n <= kAllPairsNodeLimit);
-  const util::Metres wifi_range = config.wifi_range_override > 0
-                                      ? config.wifi_range_override
-                                      : config.wifi_radio.range;
-
-  const phy::ShardMap map = phy::ShardMap::stripes(topo.positions,
-                                                   config.shards);
-  const int shard_count = map.count;
-
-  // Shared read-only structures: one connectivity graph per radio range
-  // (each partition holds a reference, not a copy — O(n + e) once).
-  // Equal ranges give identical disc graphs: build one and share it (each
-  // radio class still gets its own link model and seed).
-  std::shared_ptr<const net::ConnectivityGraph> low_graph;
-  std::shared_ptr<const net::ConnectivityGraph> high_graph;
-  if (needs_low) {
-    low_graph = std::make_shared<net::ConnectivityGraph>(
-        topo.positions, config.sensor_radio.range);
-    require_connected(*low_graph, sink, "sensor");
+  // Equal ranges give identical disc graphs: build one and share it.
+  if (ctx.needs_low) {
+    ctx.low_graph = std::make_shared<net::ConnectivityGraph>(
+        ctx.topo.positions, config.sensor_radio.range);
+    require_connected(*ctx.low_graph, sink, "sensor");
   }
-  if (needs_high) {
-    high_graph = low_graph != nullptr && wifi_range == low_graph->range()
-                     ? low_graph
-                     : std::make_shared<net::ConnectivityGraph>(
-                           topo.positions, wifi_range);
-    if (high_graph != low_graph) require_connected(*high_graph, sink, "wifi");
+  if (ctx.needs_high) {
+    ctx.high_graph =
+        ctx.low_graph != nullptr &&
+                config.wifi_range() == ctx.low_graph->range()
+            ? ctx.low_graph
+            : std::make_shared<net::ConnectivityGraph>(ctx.topo.positions,
+                                                       config.wifi_range());
+    if (ctx.high_graph != ctx.low_graph)
+      require_connected(*ctx.high_graph, sink, "wifi");
   }
 
-  // The fault plan is expanded once on the caller; each shard schedules
-  // only the events it must act on (a node event goes to the node's
-  // owner; a link event to both endpoints' owners).
-  std::vector<sim::FaultEvent> fault_events;
-  if (has_faults) {
-    // FaultPlan reads neighbour rows only to aim link flaps at real
-    // links, straight from the radio graph's CSR rows.
+  // The fault plan is expanded once; each shard schedules only the events
+  // it must act on. Link flaps aim at real links of the graph's CSR rows.
+  if (ctx.has_faults) {
     const net::ConnectivityGraph& fault_graph =
-        needs_low ? *low_graph : *high_graph;
-    fault_events =
+        ctx.needs_low ? *ctx.low_graph : *ctx.high_graph;
+    ctx.fault_events =
         sim::FaultPlan(config.faults, n, sink, config.duration,
                        [&fault_graph](std::int32_t id) {
                          const net::NeighborRange row =
@@ -560,417 +558,360 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
             .events();
   }
 
-  core::BcpConfig bcp = config.bcp;
-  bcp.set_burst_packets(config.burst_packets, config.packet_bits);
+  ctx.bcp = config.bcp;
+  ctx.bcp.set_burst_packets(config.burst_packets, config.packet_bits);
+  ctx.senders = pick_senders(config.seed, n, sink, config.n_senders);
+  if (ctx.lifetime_routing)
+    ctx.battery_fraction.assign(static_cast<std::size_t>(n), 0.0);
+  if (ctx.has_links) ctx.coord.emplace(n);
 
-  const std::vector<net::NodeId> senders =
-      pick_senders(config.seed, n, sink, config.n_senders);
-
-  // Lifetime-aware route costs read this drawn/capacity snapshot,
-  // refreshed by the coordinator at barriers on the reroute_period grid —
-  // never live battery state, so relay prices are a pure function of
-  // (config, shard count).
-  std::vector<double> battery_fraction;
-  if (lifetime_routing) battery_fraction.assign(static_cast<std::size_t>(n), 0.0);
-
-  // States are declared before the engine/mediums so teardown (which
-  // runs as engine phases) happens before either is destroyed.
-  std::vector<ShardState> states(static_cast<std::size_t>(shard_count));
-
-  // The coordinator-owned replica receives the global delta sequence
-  // exactly once, in (time, shard, node) order — the membership ground
-  // truth that routing and the sink-partition checks run against. Every
-  // shard keeps its own dense replica beside it (one byte per node).
-  std::optional<net::LinkState> coord;
-  if (has_links) {
-    for (auto& st : states) st.links.emplace(n);
-    coord.emplace(n);
-  }
-
-  // One router per distinct radio graph, shared by every shard. Static
-  // membership gets the static providers (const queries). Membership runs
-  // route over the coordinator's replica: built here, before any worker
-  // queries, and refreshed by the barrier hook while workers are
-  // quiescent, so worker queries only ever read.
-  std::vector<const net::DynamicRouting*> dynamic;
-  const auto routes_over = [&](const net::ConnectivityGraph& graph)
+  // One router per distinct radio graph, shared by every shard. Membership
+  // runs route over the coordinator's replica, refreshed by the barrier
+  // hook while workers are quiescent, so workers only ever read.
+  const bool all_pairs =
+      config.routing == RoutingMode::kAllPairs ||
+      (config.routing == RoutingMode::kAuto && n <= kAllPairsNodeLimit);
+  const auto routes_over = [&ctx, &config, sink, all_pairs](
+                               const net::ConnectivityGraph& graph)
       -> std::unique_ptr<net::Router> {
-    if (!has_links && all_pairs)
+    if (!ctx.has_links && all_pairs)
       return std::make_unique<net::RoutingTable>(graph);
-    if (!has_links)
+    if (!ctx.has_links)
       return std::make_unique<net::ConvergecastRouting>(graph, sink);
     net::NodeCostFn cost;
-    if (lifetime_routing)
-      cost = [&battery_fraction, weight = config.battery.lifetime_weight](
-                 net::NodeId v) {
-        return weight * battery_fraction[static_cast<std::size_t>(v)];
+    if (ctx.lifetime_routing)
+      cost = [fraction = &ctx.battery_fraction,
+              weight = config.battery.lifetime_weight](net::NodeId v) {
+        return weight * (*fraction)[static_cast<std::size_t>(v)];
       };
     auto routes = std::make_unique<net::DynamicRouting>(
-        graph, sink, *coord, all_pairs, config.route_policy, cost);
+        graph, sink, *ctx.coord, all_pairs, config.route_policy, cost);
     routes->refresh();
-    dynamic.push_back(routes.get());
+    ctx.dynamic.push_back(routes.get());
     return routes;
   };
-  std::unique_ptr<net::Router> low_routes;
-  std::unique_ptr<net::Router> high_routes;  // null when the graph is shared
-  if (needs_low) low_routes = routes_over(*low_graph);
-  if (needs_high && high_graph != low_graph)
-    high_routes = routes_over(*high_graph);
-  const net::Router* low_r = low_routes.get();
-  const net::Router* high_r = high_routes ? high_routes.get() : low_r;
+  if (ctx.needs_low) ctx.low_routes = routes_over(*ctx.low_graph);
+  if (ctx.needs_high && ctx.high_graph != ctx.low_graph)
+    ctx.high_routes = routes_over(*ctx.high_graph);
+  ctx.low_r = ctx.low_routes.get();
+  ctx.high_r = ctx.high_routes ? ctx.high_routes.get() : ctx.low_r;
+
+  // One MacChoice per radio class (a TDMA schedule follows the routes).
+  if (ctx.needs_low)
+    ctx.low_choice = resolve_choice(
+        config.sensor_mac, mac::sensor_mac_params(),
+        mac::tdma_sensor_params(), *ctx.low_r, sink, n,
+        config.sensor_radio.rate, ctx.low_schedule);
+  if (ctx.needs_high)
+    ctx.high_choice = resolve_choice(
+        config.wifi_mac, mac::dcf_mac_params(), mac::tdma_wifi_params(),
+        *ctx.high_r, sink, n, config.wifi_radio.rate, ctx.high_schedule);
+}
+
+// The epoch coordinator (caller thread, workers quiescent): broadcasts the
+// window's deltas, resolves the lifetime metrics, re-prices relays and
+// refreshes the routers.
+void on_barrier(RunContext& ctx, util::Seconds barrier_time) {
+  const ScenarioConfig& config = ctx.config;
+  std::vector<PendingDelta>& batch = ctx.batch;
+  batch.clear();
+  for (auto& st : ctx.states) {
+    batch.insert(batch.end(), st.deltas.begin(), st.deltas.end());
+    st.deltas.clear();
+  }
+  std::sort(batch.begin(), batch.end(),
+            [](const PendingDelta& a, const PendingDelta& b) {
+              return net::MembershipDelta::before(a.delta, b.delta);
+            });
+  for (const PendingDelta& pd : batch) {
+    for (auto& st : ctx.states) st.links->apply(pd.delta);
+    ctx.coord->apply(pd.delta);
+    if (!pd.battery_death) continue;
+    // Delivered counts are current as of this barrier (< one window late).
+    std::int64_t delivered = 0;
+    for (const auto& st : ctx.states) delivered += st.m.delivered;
+    if (ctx.first_death_bits < 0)
+      ctx.first_death_bits = delivered * config.packet_bits;
+    if (ctx.partition_time < 0 &&
+        !net::unreachable_alive(ctx.needs_low ? *ctx.low_graph
+                                              : *ctx.high_graph,
+                                ctx.topo.sink, *ctx.coord)
+             .empty()) {
+      ctx.partition_time = pd.delta.time;
+      ctx.partition_bits = delivered * config.packet_bits;
+    }
+  }
+  if (ctx.lifetime_routing) {
+    // Re-price relays at the first barrier at or past each
+    // reroute_period grid point (workers are quiescent: race-free).
+    while (ctx.next_reroute <= barrier_time) {
+      for (int s = 0; s < ctx.map.count; ++s) {
+        const ShardState& st = ctx.state(s);
+        const auto& ids = ctx.map.owned_nodes(s);
+        for (std::size_t l = 0; l < ids.size(); ++l) {
+          const auto& b = st.batteries[l];
+          if (b != nullptr)
+            ctx.battery_fraction[static_cast<std::size_t>(ids[l])] =
+                b->drawn() / b->capacity();
+        }
+      }
+      ctx.coord->touch();
+      ctx.next_reroute += config.battery.reroute_period;
+    }
+  }
+  for (const net::DynamicRouting* routes : ctx.dynamic) routes->refresh();
+  // Owners applied their own mutations at once, so after a broadcast
+  // every replica must hold the coordinator's membership.
+  if (!batch.empty())
+    for (const auto& st : ctx.states)
+      BCP_ENSURE(st.links->same_membership(*ctx.coord));
+}
+
+// ---- Phase 3: media and coordinator (caller thread). The engine, one
+// ShardedMedium per radio class the model runs, one membership replica
+// per shard, and the epoch coordinator at every window barrier.
+void build_media_and_coordinator(RunContext& ctx) {
+  const ScenarioConfig& config = ctx.config;
+  const int shard_count = ctx.map.count;
+  ctx.states = std::vector<ShardState>(static_cast<std::size_t>(shard_count));
+  if (ctx.has_links)
+    for (auto& st : ctx.states) st.links.emplace(ctx.topo.node_count());
 
   sim::ShardedSimulator::Params engine_params;
   engine_params.shards = shard_count;
   engine_params.threads = config.sim_threads;
   engine_params.window = config.shard_window;
-  sim::ShardedSimulator engine(engine_params);
+  sim::ShardedSimulator& engine = ctx.engine.emplace(engine_params);
 
-  std::optional<phy::ShardedMedium> low_medium;
-  std::optional<phy::ShardedMedium> high_medium;
-  if (needs_low)
-    low_medium.emplace(engine, low_graph, map,
-                       channel_params(config, config.sensor_radio),
-                       util::substream(config.seed, 1, 0x4C4348u));
-  if (needs_high)
-    high_medium.emplace(engine, high_graph, map,
-                        channel_params(config, config.wifi_radio),
-                        util::substream(config.seed, 2, 0x484348u));
-  if (has_links) {
-    // Each partition hears through its shard's replica: exact for owned
-    // nodes, ≤ one window stale for remote ones.
-    for (int s = 0; s < shard_count; ++s) {
-      net::LinkState* links = &*states[static_cast<std::size_t>(s)].links;
-      if (low_medium) low_medium->shard(s).set_link_state(links);
-      if (high_medium) high_medium->shard(s).set_link_state(links);
+  if (ctx.needs_low)
+    ctx.low_medium.emplace(engine, ctx.low_graph, ctx.map,
+                           channel_params(config, config.sensor_radio),
+                           util::substream(config.seed, 1, 0x4C4348u));
+  if (ctx.needs_high)
+    ctx.high_medium.emplace(engine, ctx.high_graph, ctx.map,
+                            channel_params(config, config.wifi_radio),
+                            util::substream(config.seed, 2, 0x484348u));
+  for (int s = 0; s < shard_count; ++s) {
+    // Exact for owned nodes, ≤ one window stale for remote ones.
+    if (ctx.has_links) {
+      net::LinkState* links = &*ctx.state(s).links;
+      if (ctx.low_medium) ctx.low_medium->shard(s).set_link_state(links);
+      if (ctx.high_medium) ctx.high_medium->shard(s).set_link_state(links);
     }
-  }
-  for (int s = 0; s < shard_count; ++s)
-    engine.set_drain(s, [&low_medium, &high_medium, s](std::int64_t window) {
-      if (low_medium) low_medium->drain(s, window);
-      if (high_medium) high_medium->drain(s, window);
-    });
-
-  // ---- Epoch coordinator (caller thread, between phase barriers).
-  std::vector<PendingDelta> batch;
-  std::int64_t first_death_bits = -1;
-  double partition_time = -1;
-  std::int64_t partition_bits = -1;
-  double next_reroute = config.battery.reroute_period;
-  if (has_links) {
-    engine.set_barrier_hook([&](std::int64_t, util::Seconds barrier_time) {
-      batch.clear();
-      for (auto& st : states) {
-        batch.insert(batch.end(), st.deltas.begin(), st.deltas.end());
-        st.deltas.clear();
-      }
-      std::sort(batch.begin(), batch.end(),
-                [](const PendingDelta& a, const PendingDelta& b) {
-                  return net::MembershipDelta::before(a.delta, b.delta);
-                });
-      for (const PendingDelta& pd : batch) {
-        for (auto& st : states) st.links->apply(pd.delta);
-        coord->apply(pd.delta);
-        if (!pd.battery_death) continue;
-        // Delivered counts are only current as of this barrier — the
-        // "bits until" metrics are therefore late by < one window, the
-        // same bound as every other cross-shard observation.
-        std::int64_t delivered = 0;
-        for (const auto& st : states) delivered += st.m.delivered;
-        if (first_death_bits < 0)
-          first_death_bits = delivered * config.packet_bits;
-        if (partition_time < 0) {
-          const net::ConnectivityGraph& graph =
-              needs_low ? *low_graph : *high_graph;
-          if (!net::unreachable_alive(graph, sink, *coord).empty()) {
-            partition_time = pd.delta.time;
-            partition_bits = delivered * config.packet_bits;
-          }
-        }
-      }
-      if (lifetime_routing) {
-        // Relays are re-priced every reroute_period: the refresh lands on
-        // the first barrier at or past each grid point. Workers are
-        // quiescent, so reading live battery draw is race-free, and the
-        // refresh schedule is a pure function of (config, shard count).
-        while (next_reroute <= barrier_time) {
-          for (int s = 0; s < shard_count; ++s) {
-            const ShardState& st = states[static_cast<std::size_t>(s)];
-            const auto& ids = map.owned_nodes(s);
-            for (std::size_t l = 0; l < ids.size(); ++l) {
-              const auto& b = st.batteries[l];
-              if (b != nullptr)
-                battery_fraction[static_cast<std::size_t>(ids[l])] =
-                    b->drawn() / b->capacity();
-            }
-          }
-          coord->touch();
-          next_reroute += config.battery.reroute_period;
-        }
-      }
-      for (const net::DynamicRouting* routes : dynamic) routes->refresh();
-      // Each owner applied its own mutations when they happened and
-      // queued them in the same event, so after a broadcast every replica
-      // must hold the coordinator's membership.
-      if (!batch.empty())
-        for (const auto& st : states)
-          BCP_ENSURE(st.links->same_membership(*coord));
+    engine.set_drain(s, [&ctx, s](std::int64_t window) {
+      if (ctx.low_medium) ctx.low_medium->drain(s, window);
+      if (ctx.high_medium) ctx.high_medium->drain(s, window);
     });
   }
 
-  // ---- Setup phase: each shard builds its nodes on its pinned thread.
-  engine.for_each_shard([&](int s) {
-    ShardState& st = states[static_cast<std::size_t>(s)];
-    sim::Simulator& ssim = engine.shard(s);
-    st.delivery.delivered = [&st, sim = &ssim](const net::DataPacket& p) {
+  ctx.next_reroute = config.battery.reroute_period;
+  if (ctx.has_links)
+    engine.set_barrier_hook(
+        [&ctx](std::int64_t, util::Seconds barrier_time) {
+          on_barrier(ctx, barrier_time);
+        });
+}
+
+/// The one place that names the evaluation model's node assembly.
+std::unique_ptr<Node> make_node(RunContext& ctx, int s, net::NodeId id) {
+  const ScenarioConfig& config = ctx.config;
+  sim::Simulator& sim = ctx.engine->shard(s);
+  DeliverySink* delivery = &ctx.state(s).delivery;
+  const net::NodeId sink = ctx.topo.sink;
+  switch (config.model) {
+    case EvalModel::kSensor:
+      return std::make_unique<ForwardingNode>(
+          sim, ctx.low_medium->shard(s), *ctx.low_r, id, sink,
+          RadioClass::kSensor, config.sensor_radio,
+          phy::OverhearMode::kHeaderOnly, ctx.low_choice, config.seed,
+          delivery);
+    case EvalModel::kWifi:
+      return std::make_unique<ForwardingNode>(
+          sim, ctx.high_medium->shard(s), *ctx.high_r, id, sink,
+          RadioClass::kWifi, config.wifi_radio, phy::OverhearMode::kFull,
+          ctx.high_choice, config.seed, delivery);
+    case EvalModel::kWifiDutyCycled:
+      return std::make_unique<DutyCycledWifiNode>(
+          sim, ctx.high_medium->shard(s), *ctx.high_r, id, sink,
+          config.wifi_radio,
+          DutyCycledWifiNode::Schedule{config.duty_period,
+                                       config.duty_cycle},
+          config.seed, delivery);
+    case EvalModel::kDualRadio:
+      // The 802.11 radio overhears promiscuously (full frames): needed
+      // both for faithful E_o^H charging and for shortcut learning.
+      return std::make_unique<DualRadioNode>(
+          sim, ctx.low_medium->shard(s), ctx.high_medium->shard(s),
+          *ctx.low_r, *ctx.high_r, id, config.sensor_radio,
+          config.wifi_radio, ctx.bcp, phy::OverhearMode::kFull, config.seed,
+          delivery, ctx.low_choice, ctx.high_choice);
+  }
+  return nullptr;
+}
+
+// Finite batteries (owned nodes only): one per node, sized by the budgets
+// of its radio classes and drained by all its radios. Death is crash_node
+// without recovery, at the exact instant Battery re-arms from the radios'
+// energy observers.
+void arm_batteries(RunContext& ctx, int s) {
+  const energy::BatterySpec& spec = ctx.config.battery;
+  ShardState& st = ctx.state(s);
+  sim::Simulator& sim = ctx.engine->shard(s);
+  const std::int32_t* lid_of = ctx.map.local_of.data();
+  st.on_battery_death = [&st, s, lid_of, sim = &sim](net::NodeId node) {
+    const auto l =
+        static_cast<std::size_t>(lid_of[static_cast<std::size_t>(node)]);
+    crash_node(*st.nodes[l], node, &*st.links);
+    ++st.m.battery_deaths;
+    if (st.m.battery_deaths == 1) st.m.time_to_first_death = sim->now();
+    st.deltas.push_back(
+        {net::MembershipDelta{sim->now(), s, node, net::NodeId{-1},
+                              net::MembershipDelta::Kind::kNodeDown},
+         /*battery_death=*/true});
+  };
+  const std::vector<net::NodeId>& owned_ids = ctx.map.owned_nodes(s);
+  st.batteries.resize(owned_ids.size());
+  for (std::size_t l = 0; l < owned_ids.size(); ++l) {
+    const NodeRadios radios = st.nodes[l]->radios();
+    util::Joules capacity = 0;
+    for (const NodeRadio& r : radios)
+      capacity += r.cls == RadioClass::kSensor ? spec.sensor_initial_j
+                                               : spec.wifi_initial_j;
+    if (capacity <= 0) continue;  // all owned classes unbudgeted
+    auto battery = std::make_unique<energy::Battery>(
+        sim, capacity,
+        [fn = &st.on_battery_death, id = owned_ids[l]] { (*fn)(id); });
+    energy::Battery* b = battery.get();
+    for (const NodeRadio& r : radios) {
+      b->attach(&r.radio->meter());
+      r.radio->set_energy_observer([b] { b->rearm(); });
+    }
+    battery->rearm();  // arm against the boot power state
+    st.batteries[l] = std::move(battery);
+  }
+}
+
+// Fault/churn schedule: the owning shard executes the event at its exact
+// instant and queues the epoch delta; a link event's other endpoint shard
+// flips only its own replica (the node owner counts and broadcasts it).
+void schedule_faults(RunContext& ctx, int s) {
+  ShardState& st = ctx.state(s);
+  sim::Simulator& sim = ctx.engine->shard(s);
+  const phy::ShardMap& map = ctx.map;
+  st.apply_fault = [&st, &map, s, sim = &sim](const sim::FaultEvent& ev) {
+    const auto node = static_cast<net::NodeId>(ev.node);
+    const auto peer = static_cast<net::NodeId>(ev.peer);
+    const bool owns_node = map.shard_of[static_cast<std::size_t>(ev.node)] == s;
+    // Node crash/recover events are scheduled on the owner only, so the
+    // stripe-local index is valid wherever it is used below.
+    const auto l = static_cast<std::size_t>(
+        map.local_of[static_cast<std::size_t>(node)]);
+    const auto queue = [&](net::MembershipDelta::Kind kind) {
+      st.deltas.push_back(
+          {net::MembershipDelta{sim->now(), s, node,
+                                ev.peer >= 0 ? peer : net::NodeId{-1}, kind},
+           /*battery_death=*/false});
+    };
+    switch (ev.kind) {
+      case sim::FaultKind::kNodeCrash:
+        crash_node(*st.nodes[l], node, &*st.links);
+        ++st.m.fault_node_crashes;
+        queue(net::MembershipDelta::Kind::kNodeDown);
+        break;
+      case sim::FaultKind::kNodeRecover: {
+        // Battery death is final: a recovery scheduled for a node that
+        // has since depleted is refused (and counted).
+        const energy::Battery* battery =
+            st.batteries.empty() ? nullptr : st.batteries[l].get();
+        if (battery != nullptr && battery->depleted()) {
+          ++st.m.fault_recoveries_refused;
+          break;
+        }
+        st.links->set_node_up(node, true);
+        st.nodes[l]->recover();
+        ++st.m.fault_node_recoveries;
+        queue(net::MembershipDelta::Kind::kNodeUp);
+        break;
+      }
+      case sim::FaultKind::kLinkDown:
+        st.links->set_link_up(node, peer, false);
+        if (owns_node) {
+          ++st.m.fault_link_downs;
+          queue(net::MembershipDelta::Kind::kLinkDown);
+        }
+        break;
+      case sim::FaultKind::kLinkUp:
+        st.links->set_link_up(node, peer, true);
+        if (owns_node) {
+          ++st.m.fault_link_ups;
+          queue(net::MembershipDelta::Kind::kLinkUp);
+        }
+        break;
+    }
+  };
+  for (const sim::FaultEvent& ev : ctx.fault_events) {
+    const bool node_owned = map.shard_of[static_cast<std::size_t>(ev.node)] == s;
+    const bool link_event = ev.kind == sim::FaultKind::kLinkDown ||
+                            ev.kind == sim::FaultKind::kLinkUp;
+    const bool peer_owned =
+        link_event && map.shard_of[static_cast<std::size_t>(ev.peer)] == s;
+    if (!node_owned && !peer_owned) continue;
+    sim.schedule_at(ev.at, [fn = &st.apply_fault, ev] { (*fn)(ev); });
+  }
+}
+
+// ---- Phase 4: shard setup. Each shard builds its nodes on its pinned
+// thread, then schedules in a fixed order — node boot events, batteries,
+// fault events, workloads — because (time, seq) ties decide outputs.
+void set_up_shards(RunContext& ctx) {
+  ctx.engine->for_each_shard([&ctx, &config = ctx.config](int s) {
+    ShardState& st = ctx.state(s);
+    sim::Simulator& sim = ctx.engine->shard(s);
+    st.delivery.delivered = [&st, sim = &sim](const net::DataPacket& p) {
       ++st.m.delivered;
       st.delay_sum += sim->now() - p.created_at;
     };
     st.delivery.dropped = [&st](const net::DataPacket&, const char* reason) {
       classify_drop(st.m, reason);
     };
-    // Stripe-local indexing: this shard's node-indexed vectors are sized
-    // by its own population and indexed through the shared local-id map.
-    const std::vector<net::NodeId>& owned_ids = map.owned_nodes(s);
-    const std::size_t owned_n = owned_ids.size();
-    const std::int32_t* lid_of = map.local_of.data();
-    switch (config.model) {
-      case EvalModel::kSensor: {
-        const MacChoice choice = resolve_choice(
-            config.sensor_mac, mac::sensor_mac_params(),
-            mac::tdma_sensor_params(), *low_r, sink, n,
-            config.sensor_radio.rate, st.low_schedule);
-        st.fwd.resize(owned_n);
-        for (std::size_t l = 0; l < owned_n; ++l) {
-          st.fwd[l] = std::make_unique<ForwardingNode>(
-              ssim, low_medium->shard(s), *low_r, owned_ids[l], sink,
-              config.sensor_radio, phy::OverhearMode::kHeaderOnly, choice,
-              config.seed, &st.delivery);
-        }
-        break;
-      }
-      case EvalModel::kWifi: {
-        const MacChoice choice = resolve_choice(
-            config.wifi_mac, mac::dcf_mac_params(), mac::tdma_wifi_params(),
-            *high_r, sink, n, config.wifi_radio.rate, st.high_schedule);
-        st.fwd.resize(owned_n);
-        for (std::size_t l = 0; l < owned_n; ++l) {
-          st.fwd[l] = std::make_unique<ForwardingNode>(
-              ssim, high_medium->shard(s), *high_r, owned_ids[l], sink,
-              config.wifi_radio, phy::OverhearMode::kFull, choice,
-              config.seed, &st.delivery);
-        }
-        break;
-      }
-      case EvalModel::kWifiDutyCycled: {
-        DutyCycledWifiNode::Schedule schedule;
-        schedule.period = config.duty_period;
-        schedule.duty = config.duty_cycle;
-        st.duty.resize(owned_n);
-        for (std::size_t l = 0; l < owned_n; ++l) {
-          st.duty[l] = std::make_unique<DutyCycledWifiNode>(
-              ssim, high_medium->shard(s), *high_r, owned_ids[l], sink,
-              config.wifi_radio, schedule, config.seed, &st.delivery);
-        }
-        break;
-      }
-      case EvalModel::kDualRadio: {
-        const MacChoice low_choice = resolve_choice(
-            config.sensor_mac, mac::sensor_mac_params(),
-            mac::tdma_sensor_params(), *low_r, sink, n,
-            config.sensor_radio.rate, st.low_schedule);
-        const MacChoice high_choice{mac::dcf_mac_params(),
-                                    mac::MacFamily::kAuto,
-                                    {},
-                                    nullptr};
-        // The 802.11 radio overhears promiscuously (full frames): needed
-        // both for faithful E_o^H charging and for shortcut learning.
-        st.dual.resize(owned_n);
-        for (std::size_t l = 0; l < owned_n; ++l) {
-          st.dual[l] = std::make_unique<DualRadioNode>(
-              ssim, low_medium->shard(s), high_medium->shard(s), *low_r,
-              *high_r, owned_ids[l], config.sensor_radio,
-              config.wifi_radio, bcp, phy::OverhearMode::kFull, config.seed,
-              &st.delivery, low_choice, high_choice);
-        }
-        break;
-      }
-    }
-
-    // ---- Finite batteries (owned nodes only). One battery per node,
-    // drained by every radio the node owns; death is the fault plan's
-    // crash teardown (crash_node), minus the possibility of recovery.
-    // The death instant is always a scheduled event in the owning shard:
-    // Battery re-arms it from the radios' energy observer on every
-    // power-state change, so depletion lands at its exact analytic time.
-    if (has_battery) {
-      st.batteries.resize(owned_n);
-      st.on_battery_death = [&st, s, lid_of, sim = &ssim](net::NodeId node) {
-        const auto l = static_cast<std::size_t>(
-            lid_of[static_cast<std::size_t>(node)]);
-        crash_node(st.fwd.empty() ? nullptr : st.fwd[l].get(),
-                   st.dual.empty() ? nullptr : st.dual[l].get(),
-                   st.duty.empty() ? nullptr : st.duty[l].get(), node,
-                   &*st.links);
-        ++st.m.battery_deaths;
-        if (st.m.battery_deaths == 1)
-          st.m.time_to_first_death = sim->now();
-        st.deltas.push_back(
-            {net::MembershipDelta{sim->now(), s, node, net::NodeId{-1},
-                                  net::MembershipDelta::Kind::kNodeDown},
-             /*battery_death=*/true});
-      };
-      for (std::size_t l = 0; l < owned_n; ++l) {
-        const net::NodeId id = owned_ids[l];
-        util::Joules capacity = 0;
-        if (needs_low) capacity += config.battery.sensor_initial_j;
-        if (needs_high) capacity += config.battery.wifi_initial_j;
-        if (capacity <= 0) continue;  // all owned classes unbudgeted
-        auto battery = std::make_unique<energy::Battery>(
-            ssim, capacity,
-            [fn = &st.on_battery_death, id] { (*fn)(id); });
-        energy::Battery* b = battery.get();
-        const auto watch = [b](phy::Radio& radio) {
-          b->attach(&radio.meter());
-          radio.set_energy_observer([b] { b->rearm(); });
-        };
-        if (!st.fwd.empty())
-          watch(st.fwd[l]->radio());
-        else if (!st.duty.empty())
-          watch(st.duty[l]->radio());
-        else {
-          watch(st.dual[l]->sensor_radio());
-          watch(st.dual[l]->wifi_radio());
-        }
-        battery->rearm();  // arm against the boot power state
-        st.batteries[l] = std::move(battery);
-      }
-    }
-
-    // ---- Fault/churn schedule: the owning shard executes the event at
-    // its exact instant against its replica and queues the epoch delta;
-    // for link events the other endpoint's shard also flips its own
-    // replica at the exact time, but only the node-owner counts the
-    // event and broadcasts it.
-    if (has_faults) {
-      st.apply_fault = [&st, &map, lid_of, s, sim = &ssim](
-                           const sim::FaultEvent& ev) {
-        const auto node = static_cast<net::NodeId>(ev.node);
-        const auto peer = static_cast<net::NodeId>(ev.peer);
-        const bool owns_node =
-            map.shard_of[static_cast<std::size_t>(ev.node)] == s;
-        // Node crash/recover events are scheduled on the owner only, so
-        // the stripe-local index is valid wherever it is used below.
-        const auto l =
-            static_cast<std::size_t>(lid_of[static_cast<std::size_t>(node)]);
-        const auto queue = [&](net::MembershipDelta::Kind kind) {
-          st.deltas.push_back(
-              {net::MembershipDelta{sim->now(), s, node,
-                                    ev.peer >= 0 ? peer : net::NodeId{-1},
-                                    kind},
-               /*battery_death=*/false});
-        };
-        switch (ev.kind) {
-          case sim::FaultKind::kNodeCrash:
-            crash_node(st.fwd.empty() ? nullptr : st.fwd[l].get(),
-                       st.dual.empty() ? nullptr : st.dual[l].get(),
-                       nullptr,  // duty nodes reject fault plans
-                       node, &*st.links);
-            ++st.m.fault_node_crashes;
-            queue(net::MembershipDelta::Kind::kNodeDown);
-            break;
-          case sim::FaultKind::kNodeRecover: {
-            // Battery death is final: a recovery scheduled for a node
-            // that has since depleted is refused (and counted).
-            const energy::Battery* battery =
-                st.batteries.empty() ? nullptr : st.batteries[l].get();
-            if (battery != nullptr && battery->depleted()) {
-              ++st.m.fault_recoveries_refused;
-              break;
-            }
-            st.links->set_node_up(node, true);
-            if (!st.fwd.empty())
-              st.fwd[l]->recover();
-            else
-              st.dual[l]->recover();
-            ++st.m.fault_node_recoveries;
-            queue(net::MembershipDelta::Kind::kNodeUp);
-            break;
-          }
-          case sim::FaultKind::kLinkDown:
-            st.links->set_link_up(node, peer, false);
-            if (owns_node) {
-              ++st.m.fault_link_downs;
-              queue(net::MembershipDelta::Kind::kLinkDown);
-            }
-            break;
-          case sim::FaultKind::kLinkUp:
-            st.links->set_link_up(node, peer, true);
-            if (owns_node) {
-              ++st.m.fault_link_ups;
-              queue(net::MembershipDelta::Kind::kLinkUp);
-            }
-            break;
-        }
-      };
-      for (const sim::FaultEvent& ev : fault_events) {
-        const bool node_owned =
-            map.shard_of[static_cast<std::size_t>(ev.node)] == s;
-        const bool link_event = ev.kind == sim::FaultKind::kLinkDown ||
-                                ev.kind == sim::FaultKind::kLinkUp;
-        const bool peer_owned =
-            link_event &&
-            map.shard_of[static_cast<std::size_t>(ev.peer)] == s;
-        if (!node_owned && !peer_owned) continue;
-        ssim.schedule_at(ev.at,
-                         [fn = &st.apply_fault, ev] { (*fn)(ev); });
-      }
-    }
-
-    for (const net::NodeId sender : senders) {
-      if (map.shard_of[static_cast<std::size_t>(sender)] != s) continue;
-      const auto l = static_cast<std::size_t>(
-          lid_of[static_cast<std::size_t>(sender)]);
-      auto emit = [&st, &config, l](net::DataPacket p) {
-        if (config.model == EvalModel::kDualRadio)
-          st.dual[l]->send(p);
-        else if (config.model == EvalModel::kWifiDutyCycled)
-          st.duty[l]->send(p);
-        else
-          st.fwd[l]->send(p);
-      };
+    for (const net::NodeId id : ctx.map.owned_nodes(s))
+      st.nodes.push_back(make_node(ctx, s, id));
+    if (ctx.has_battery) arm_batteries(ctx, s);
+    if (ctx.has_faults) schedule_faults(ctx, s);
+    for (const net::NodeId sender : ctx.senders) {
+      if (ctx.map.shard_of[static_cast<std::size_t>(sender)] != s) continue;
+      Node* node = st.nodes[static_cast<std::size_t>(
+          ctx.map.local_of[static_cast<std::size_t>(sender)])].get();
       st.workloads.push_back(std::make_unique<CbrWorkload>(
-          ssim, sender, sink, config.packet_bits, config.rate_bps,
+          sim, sender, ctx.topo.sink, config.packet_bits, config.rate_bps,
           util::substream(config.seed, static_cast<std::uint64_t>(sender),
                           0x574Bu),
-          std::move(emit)));
+          [node](net::DataPacket p) { node->send(p); }));
       st.workloads.back()->start();
     }
   });
+}
 
-  engine.run(config.duration);
+// ---- Phase 5: run the windows to the horizon.
+void run_engine(RunContext& ctx) { ctx.engine->run(ctx.config.duration); }
 
-  // ---- Collect: each shard folds its own nodes on its pinned thread (the
-  // run's final barrier ordered every shard's state before this job);
-  // the caller then merges the folds in ascending shard order.
-  engine.for_each_shard([&](int s) {
-    ShardState& st = states[static_cast<std::size_t>(s)];
-    // Memory-model invariant: exactly one node family is populated, and
-    // every per-shard node-indexed vector is stripe-local, not global.
-    BCP_ENSURE(st.fwd.size() + st.dual.size() + st.duty.size() ==
-               static_cast<std::size_t>(map.owned_count(s)));
-    BCP_ENSURE(!has_battery ||
-               st.batteries.size() ==
-                   static_cast<std::size_t>(map.owned_count(s)));
-    st.m.events_processed = engine.shard(s).processed_count();
+// ---- Phase 6: collect. Each shard folds its own nodes on its pinned
+// thread (the run's final barrier ordered every shard's state before this
+// job); the caller then merges the folds in ascending shard order.
+RunMetrics collect(RunContext& ctx) {
+  const ScenarioConfig& config = ctx.config;
+  ctx.engine->for_each_shard([&ctx](int s) {
+    ShardState& st = ctx.state(s);
+    // Memory-model invariant: node-indexed vectors are stripe-local.
+    const auto owned = static_cast<std::size_t>(ctx.map.owned_count(s));
+    BCP_ENSURE(st.nodes.size() == owned);
+    BCP_ENSURE(!ctx.has_battery || st.batteries.size() == owned);
+    st.m.events_processed = ctx.engine->shard(s).processed_count();
     for (const auto& w : st.workloads) st.m.generated += w->generated();
-    if (low_medium) add_channel_stats(st.m, low_medium->shard(s));
-    if (high_medium) add_channel_stats(st.m, high_medium->shard(s));
-    const util::Seconds end = config.duration;
-    for (const auto& node : st.fwd)
-      collect_forwarding(st.m, *node, config.model == EvalModel::kSensor,
-                         end);
-    for (const auto& node : st.duty) collect_duty(st.m, *node, end);
-    for (const auto& node : st.dual) collect_dual(st.m, *node, end);
+    if (ctx.low_medium) add_channel_stats(st.m, ctx.low_medium->shard(s));
+    if (ctx.high_medium) add_channel_stats(st.m, ctx.high_medium->shard(s));
+    for (const auto& node : st.nodes)
+      collect_node(st.m, *node, ctx.config.duration);
     for (const auto& battery : st.batteries) {
       if (battery == nullptr) continue;
       st.m.battery_max_drawn_fraction =
@@ -980,46 +921,57 @@ RunMetrics run_scenario(const ScenarioConfig& config) {
   });
   RunMetrics total;
   double delay_sum = 0;
-  for (const ShardState& st : states) {
+  for (const ShardState& st : ctx.states) {
     detail::merge_metrics(total, st.m);
     total.shard_events.push_back(st.m.events_processed);
     delay_sum += st.delay_sum;
   }
   total.boundary_frames =
-      (low_medium ? low_medium->boundary_exports() : 0) +
-      (high_medium ? high_medium->boundary_exports() : 0);
-  for (const net::DynamicRouting* routes : dynamic)
+      (ctx.low_medium ? ctx.low_medium->boundary_exports() : 0) +
+      (ctx.high_medium ? ctx.high_medium->boundary_exports() : 0);
+  for (const net::DynamicRouting* routes : ctx.dynamic)
     total.route_rebuilds += routes->rebuild_count();
-  if (has_battery) {
-    // The coordinator resolved the cross-shard lifetime metrics at the
-    // barriers; "until first death / partition" degenerate to the whole
-    // run's deliveries when the event never happened.
+  if (ctx.has_battery) {
+    // "Until first death / partition" cover the whole run's deliveries
+    // when the event never happened.
     total.delivered_bits_until_first_death =
-        first_death_bits >= 0 ? first_death_bits
-                              : total.delivered * config.packet_bits;
-    total.time_to_sink_partition = partition_time;
+        ctx.first_death_bits >= 0 ? ctx.first_death_bits
+                                  : total.delivered * config.packet_bits;
+    total.time_to_sink_partition = ctx.partition_time;
     total.delivered_bits_until_partition =
-        partition_bits >= 0 ? partition_bits
-                            : total.delivered * config.packet_bits;
+        ctx.partition_bits >= 0 ? ctx.partition_bits
+                                : total.delivered * config.packet_bits;
   }
   finalize_metrics(total, config, delay_sum);
+  return total;
+}
 
-  // ---- Teardown phase: release every shard's pooled payloads (node
-  // queues, in-flight channel records, pending event captures) on the
-  // thread whose pool owns them, before the workers exit with the
-  // engine. Batteries hold event handles into the shard simulator, so
-  // they die here too.
-  engine.for_each_shard([&](int s) {
-    ShardState& st = states[static_cast<std::size_t>(s)];
+// ---- Phase 7: teardown. Releases every shard's pooled payloads (node
+// queues, in-flight frames, pending event captures; batteries hold event
+// handles) on the thread whose pool owns them.
+void tear_down(RunContext& ctx) {
+  ctx.engine->for_each_shard([&ctx](int s) {
+    ShardState& st = ctx.state(s);
     st.batteries.clear();
     st.workloads.clear();
-    st.fwd.clear();
-    st.duty.clear();
-    st.dual.clear();
-    if (low_medium) low_medium->reset_shard(s);
-    if (high_medium) high_medium->reset_shard(s);
-    engine.shard(s).clear();
+    st.nodes.clear();
+    if (ctx.low_medium) ctx.low_medium->reset_shard(s);
+    if (ctx.high_medium) ctx.high_medium->reset_shard(s);
+    ctx.engine->shard(s).clear();
   });
+}
+
+}  // namespace
+
+RunMetrics run_scenario(const ScenarioConfig& config) {
+  RunContext ctx(config);
+  validate(ctx);
+  build_shared_graphs_and_routes(ctx);
+  build_media_and_coordinator(ctx);
+  set_up_shards(ctx);
+  run_engine(ctx);
+  RunMetrics total = collect(ctx);
+  tear_down(ctx);
   return total;
 }
 

@@ -82,6 +82,10 @@ struct ScenarioConfig {
   /// >0 overrides the wifi radio's nominal range (the multi-hop case sets
   /// 300 m so a corner sink is one hop from everywhere on the grid).
   util::Metres wifi_range_override = 0;
+  /// The 802.11 disc range the run uses.
+  util::Metres wifi_range() const {
+    return wifi_range_override > 0 ? wifi_range_override : wifi_radio.range;
+  }
 
   // kWifiDutyCycled only: the idealized synchronized sleep schedule.
   double duty_cycle = 0.1;           ///< fraction of each period awake

@@ -82,13 +82,10 @@ ScenarioConfig placed_config(bool multi_hop, EvalModel model,
   spec.nodes = static_cast<int>(p.get_or("nodes", 36));
   spec.area = p.get_or("area", 200.0);
   spec.seed = static_cast<std::uint64_t>(p.get_or("topo_seed", 1));
-  const util::Metres wifi_range = cfg.wifi_range_override > 0
-                                      ? cfg.wifi_range_override
-                                      : cfg.wifi_radio.range;
   const util::Metres required_range =
       model == EvalModel::kWifi || model == EvalModel::kWifiDutyCycled
-          ? wifi_range
-          : std::min(cfg.sensor_radio.range, wifi_range);
+          ? cfg.wifi_range()
+          : std::min(cfg.sensor_radio.range, cfg.wifi_range());
   cfg.topology = net::first_connected(spec, required_range);
   return cfg;
 }

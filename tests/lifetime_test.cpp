@@ -72,8 +72,9 @@ struct SensorWorld {
                                     nullptr};
     for (net::NodeId id = 0; id < 2; ++id)
       nodes.push_back(std::make_unique<app::ForwardingNode>(
-          sim, channel, routes, id, 0, energy::mica(),
-          phy::OverhearMode::kNone, mac_choice, seed, &delivery));
+          sim, channel, routes, id, 0, app::RadioClass::kSensor,
+          energy::mica(), phy::OverhearMode::kNone, mac_choice, seed,
+          &delivery));
   }
 
   sim::Simulator sim;
@@ -96,7 +97,7 @@ TEST(Battery, DiesAtTheExactlyComputedDepletionInstant) {
   int deaths = 0;
   energy::Battery battery(world.sim, capacity, [&] {
     ++deaths;
-    app::crash_node(world.nodes[1].get(), nullptr, nullptr, 1, nullptr);
+    app::crash_node(*world.nodes[1], 1, nullptr);
   });
   battery.attach(&world.nodes[1]->radio().meter());
   world.nodes[1]->radio().set_energy_observer([&] { battery.rearm(); });
@@ -127,7 +128,7 @@ TEST(Battery, DeathAndFaultCrashLeaveIdenticalNodeState) {
 
   SensorWorld by_battery;
   energy::Battery battery(by_battery.sim, capacity, [&] {
-    app::crash_node(by_battery.nodes[1].get(), nullptr, nullptr, 1, nullptr);
+    app::crash_node(*by_battery.nodes[1], 1, nullptr);
   });
   battery.attach(&by_battery.nodes[1]->radio().meter());
   by_battery.nodes[1]->radio().set_energy_observer([&] { battery.rearm(); });
@@ -135,7 +136,7 @@ TEST(Battery, DeathAndFaultCrashLeaveIdenticalNodeState) {
 
   SensorWorld by_fault;
   by_fault.sim.schedule_at(capacity / energy::mica().p_idle, [&] {
-    app::crash_node(by_fault.nodes[1].get(), nullptr, nullptr, 1, nullptr);
+    app::crash_node(*by_fault.nodes[1], 1, nullptr);
   });
 
   // Traffic after death must be refused identically.
@@ -288,6 +289,19 @@ TEST(LifetimeScenario, DeadNodesContributeNothingAfterDeath) {
   }
   EXPECT_LE(short_run.delivered_bits_until_first_death,
             short_run.delivered * 256);
+}
+
+TEST(LifetimeScenario, DutyCycledBatteryDeathsCountMacCrashDrops) {
+  // Battery deaths crash duty-cycled nodes with frames still queued in
+  // their MACs; those frames must reach mac_crash_drops like every other
+  // node assembly's.
+  for (const double wifi_j : {4.0, 2.0, 1.0}) {
+    const auto m = app::run_scenario(lifetime_config(
+        "lifetime-mh/wifi-duty", 60.0, 1,
+        {{"sensor_j", 1.7}, {"wifi_j", wifi_j}}));
+    ASSERT_GT(m.battery_deaths, 0) << "wifi_j = " << wifi_j;
+    EXPECT_GT(m.mac_crash_drops, 0) << "wifi_j = " << wifi_j;
+  }
 }
 
 TEST(LifetimeScenario, TimeToFirstDeathMonotoneInInitialBudget) {
